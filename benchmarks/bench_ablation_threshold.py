@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState as S
 from repro.core.threat import HURRICANE
-from repro.geo.oahu import HONOLULU_CC, WAIAU_CC
+from repro.geo import HONOLULU_CC, WAIAU_CC
 from repro.hazards.fragility import ThresholdFragility
 from repro.scada.architectures import CONFIG_2
 from repro.scada.placement import PLACEMENT_WAIAU

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState as S
 from repro.core.threat import PAPER_SCENARIOS
-from repro.geo.oahu import ALOHANAP, DRFORTRESS, HONOLULU_CC, KAHE_CC, WAIAU_CC
+from repro.geo import ALOHANAP, DRFORTRESS, HONOLULU_CC, KAHE_CC, WAIAU_CC
 from repro.scada.architectures import CONFIG_6_6_6, active_multisite
 from repro.scada.placement import Placement
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.states import OperationalState as S
 from repro.core.threat import HURRICANE
-from repro.geo.oahu import HONOLULU_CC, build_oahu_catalog, build_oahu_region
+from repro.geo import HONOLULU_CC, build_oahu_catalog, build_oahu_region
 from repro.hazards.hurricane.ensemble import EnsembleGenerator
 from repro.hazards.hurricane.inundation import ExtensionParams
 from repro.hazards.hurricane.standard import (

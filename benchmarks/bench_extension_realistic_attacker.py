@@ -13,7 +13,7 @@ from repro.core.pipeline import CompoundThreatAnalysis
 from repro.core.realistic import ResourceConstrainedAttacker
 from repro.core.states import OperationalState as S
 from repro.core.threat import HURRICANE_INTRUSION_ISOLATION
-from repro.geo.oahu import DRFORTRESS, HONOLULU_CC, WAIAU_CC, build_oahu_catalog
+from repro.geo import DRFORTRESS, HONOLULU_CC, WAIAU_CC, build_oahu_catalog
 from repro.network.topology import build_site_wan
 from repro.scada.architectures import CONFIG_6_6
 from repro.scada.placement import PLACEMENT_WAIAU

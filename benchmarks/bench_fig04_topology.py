@@ -7,7 +7,7 @@ catalog, coastal mesh) and prints the asset inventory the paper maps.
 from __future__ import annotations
 
 from repro.geo.catalog import AssetRole
-from repro.geo.oahu import build_oahu_catalog, build_oahu_region, build_oahu_terrain
+from repro.geo import build_oahu_catalog, build_oahu_region, build_oahu_terrain
 from repro.hazards.hurricane.mesh import build_coastal_mesh
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo.oahu import (
+from repro.geo import (
     ALOHANAP,
     DRFORTRESS,
     HONOLULU_CC,

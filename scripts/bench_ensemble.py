@@ -18,11 +18,11 @@ at all, and the script fails if the overhead exceeds ``--max-overhead``
 (3% by default).  An enabled-observer run is timed alongside for
 comparison.
 
-It likewise guards the *threat-chain executor*: the analysis loop that
-now dispatches through ``ThreatChain.run_state`` is timed against the
-hardcoded pre-refactor three-step body, failing past
-``--max-chain-overhead`` (3% by default).  Overhead fractions are
-computed from *paired* interleaved rounds (see
+It likewise guards the *threat chain's scalar adapter*: a
+``batch=False`` cell, which dispatches every realization through
+``ThreatChain.run_scalar``, is timed against the hardcoded pre-refactor
+three-step body, failing past ``--max-chain-overhead`` (3% by default).
+Overhead fractions are computed from *paired* interleaved rounds (see
 :func:`measure_observer_overhead`).
 
 Finally it times the fused *batched executor* over the paper's full
@@ -119,16 +119,17 @@ def measure_observer_overhead(
 
 
 def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
-    """The chain executor's cost relative to the pre-refactor loop.
+    """The scalar adapter's cost relative to the pre-refactor loop.
 
-    ``CompoundThreatAnalysis.run`` now dispatches each realization
-    through the configured :class:`ThreatChain`; the baseline below is
-    the historical hardcoded three-step body (fragility -> attack ->
-    classify) inlined with the same memoized failed-asset lookup, so the
-    delta is purely the executor's dispatch.  Paired interleaved rounds,
-    as in :func:`measure_observer_overhead`.  ``batch=False`` pins the
-    per-realization executor: the batched path is a different algorithm
-    entirely and is measured by :func:`measure_batched_speedup`.
+    A ``batch=False`` cell runs each realization through the configured
+    :class:`ThreatChain`'s scalar adapter; the baseline below is the
+    historical hardcoded three-step body (fragility -> attack ->
+    classify) inlined over the same failed sets the adapter reads (the
+    rows of the cell's memoized failure matrix), so the delta is purely
+    the adapter's dispatch.  Paired interleaved rounds, as in
+    :func:`measure_observer_overhead`.  The batched executor is a
+    different algorithm entirely and is measured by
+    :func:`measure_batched_speedup`.
     """
     import numpy as np
 
@@ -148,9 +149,9 @@ def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
     def timed_hardcoded() -> float:
         start = time.perf_counter()
         rng = np.random.default_rng(analysis._seed)
+        bctx = analysis._batch_context(architecture, PLACEMENT_WAIAU, scenario)
         states = []
-        for realization in ensemble:
-            failed = analysis._failed_assets(realization, rng)
+        for failed in bctx.failed_sets():
             state = initial_state(architecture, PLACEMENT_WAIAU, failed)
             state = attacker.attack(state, scenario.budget, rng)
             states.append(evaluate(state))
@@ -163,7 +164,7 @@ def measure_chain_overhead(ensemble, repeats: int = 5) -> dict:
         return time.perf_counter() - start
 
     variants = (timed_hardcoded, timed_chained)
-    for fn in variants:  # warm-up (also fills the failed-asset memo)
+    for fn in variants:  # warm-up (also fills the failure-matrix memo)
         fn()
     rounds = [tuple(fn() for fn in variants) for _ in range(repeats)]
     fracs = [c / h - 1.0 for h, c in rounds]

@@ -6,7 +6,8 @@ and the release that removes it.  Warning/message text is rendered from
 the record, so every public deprecation is guaranteed to name its
 removal release (``tests/integration/test_deprecations.py`` asserts
 this), and grepping for ``removal_release`` before cutting a major
-release yields the full runway in one place.
+release yields the full runway in one place.  Release 2.0.0 removed
+every surface the 1.x line had deprecated, so the registry starts empty.
 """
 
 from __future__ import annotations
@@ -74,25 +75,3 @@ def warn_deprecated(name: str, detail: str | None = None, *, stacklevel: int = 2
     warnings.warn(
         deprecation_message(name, detail), DeprecationWarning, stacklevel=stacklevel + 1
     )
-
-
-# ----------------------------------------------------------------------
-# The 2.0.0 runway.  Every entry here must have a warning emitter at the
-# deprecated surface and a removal_release it actually honors.
-# ----------------------------------------------------------------------
-register_deprecation(
-    "repro.geo.oahu",
-    'repro.geo or repro.scenarios.get_region("oahu")',
-    removal_release="2.0.0",
-)
-register_deprecation(
-    "compound-threats analyze",
-    "compound-threats run",
-    removal_release="2.0.0",
-)
-register_deprecation(
-    "repro.core.batch.attack_batch_fallback",
-    "a native attack_batch on the attacker (repro.core.attacker) or "
-    "CyberAttackStage's automatic per-pattern replay",
-    removal_release="2.0.0",
-)

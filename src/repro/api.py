@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 import numpy as np
 
+from repro.core.batch import attacker_batch_reason, fragility_batch_reason
 from repro.core.chain import ThreatChain
 from repro.core.chain import resolve_chain as _resolve_chain
 from repro.core.outcomes import ScenarioMatrix
@@ -278,31 +279,15 @@ class StudyConfig:
             model = getattr(stage, "fragility", None)
             if model is None and getattr(stage, "captures", None) == "post_disaster":
                 model = self.resolve_fragility()
-            if (
-                model is not None
-                and not getattr(model, "deterministic", False)
-                and not getattr(model, "batch_sampling", False)
-            ):
-                problems.append(
-                    f"fragility model {type(model).__name__} does not "
-                    "declare the RNG-draw batch-sampling contract"
-                )
             attacker = getattr(stage, "attacker", None)
             if attacker is None and type(stage).__name__ == "CyberAttackStage":
                 attacker = self.attacker
-            if (
-                attacker is not None
-                and not getattr(attacker, "deterministic", False)
-                and not (
-                    callable(getattr(attacker, "attack_batch", None))
-                    and callable(getattr(attacker, "batch_draws", None))
-                )
+            for reason in (
+                None if model is None else fragility_batch_reason(model),
+                None if attacker is None else attacker_batch_reason(attacker),
             ):
-                label = getattr(attacker, "name", type(attacker).__name__)
-                problems.append(
-                    f"attacker {label!r} is stochastic without an "
-                    "RNG-draw batched kernel (attack_batch + batch_draws)"
-                )
+                if reason is not None:
+                    problems.append(reason)
         if problems:
             raise ConfigurationError(
                 "batch=True cannot be honored: " + "; ".join(sorted(set(problems)))

@@ -18,9 +18,6 @@ Subcommands mirror the paper's workflow:
 * ``pack``        -- validate or describe a scenario pack
                      (``pack validate PATH`` / ``pack info PATH``).
 * ``ensemble``    -- generate the hurricane realizations (CSV output).
-* ``analyze``     -- deprecated alias of ``run`` (old flag spellings
-                     keep working; it routes through the same facade and
-                     will be removed in 2.0.0).
 * ``figures``     -- regenerate every paper figure as text charts.
 * ``siting``      -- rank backup control-center locations.
 * ``bft-demo``    -- run the replication engine under compound faults.
@@ -208,18 +205,6 @@ def _study_config_from_args(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Build a ``StudyConfig`` from the flags and drive the facade."""
-    if getattr(args, "deprecated_alias", None):
-        from repro._deprecation import deprecation_message
-
-        # The canonical message (with the removal release) comes from the
-        # shared deprecation registry; see repro._deprecation.
-        print(
-            f"note: `{args.deprecated_alias}` is a deprecated alias of "
-            "`run`: "
-            + deprecation_message(f"compound-threats {args.deprecated_alias}")
-            + " (flags keep working and route through repro.run_study())",
-            file=sys.stderr,
-        )
     _register_packs(args)
     config = _study_config_from_args(args)
     plan = config.resolve_sampling()
@@ -944,13 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_perf_args(p)
     p.set_defaults(func=_cmd_ensemble)
-
-    p = sub.add_parser(
-        "analyze",
-        help="deprecated alias of `run` (kept so existing invocations work)",
-    )
-    _add_study_args(p)
-    p.set_defaults(func=_cmd_run, deprecated_alias="analyze")
 
     p = sub.add_parser("figures", help="regenerate all paper figures")
     p.add_argument("--ensemble", help="ensemble CSV (default: regenerate standard)")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,19 +35,22 @@ from repro.scada.architectures import ArchitectureFamily, ArchitectureSpec
 
 
 def _replay_rows(
-    attacker: "ExhaustiveAttacker | WorstCaseAttacker",
+    attacker,
     architecture: ArchitectureSpec,
     flooded: np.ndarray,
     isolated: np.ndarray,
     intrusions: np.ndarray,
     budget: CyberAttackBudget,
+    site_names: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch a deterministic attacker by replaying distinct rows.
 
-    The scalar ``attack`` is a pure function of ``(state, budget)`` and
-    never reads site *names*, so each distinct (flooded, isolated,
-    intrusions) row is attacked once on a placeholder-named state and
-    the result scattered back to every realization sharing it.
+    A deterministic ``attack`` is a pure function of ``(state, budget)``,
+    so each distinct (flooded, isolated, intrusions) row is attacked once
+    and the result scattered back to every realization sharing it.  The
+    library's attackers never read site *names* and replay on
+    placeholder names; pass the placed ``site_names`` for an attacker
+    that might.
     """
     n_sites = flooded.shape[1]
     key = np.hstack(
@@ -63,7 +67,7 @@ def _replay_rows(
     for p, row in enumerate(patterns):
         sites = tuple(
             SiteStatus(
-                asset_name=f"site-{j}",
+                asset_name=f"site-{j}" if site_names is None else site_names[j],
                 spec=spec,
                 flooded=bool(row[j]),
                 isolated=bool(row[n_sites + j]),
@@ -360,9 +364,7 @@ class ExhaustiveAttacker:
         """Exhaustive enumeration once per distinct pre-attack pattern.
 
         Native batched kernel under the unified ``attack_batch``
-        signature; replaces routing through the deprecated
-        ``repro.core.batch.attack_batch_fallback``.  ``draws`` is
-        ignored (deterministic attacker).
+        signature.  ``draws`` is ignored (deterministic attacker).
         """
         del draws  # deterministic attacker
         return _replay_rows(self, architecture, flooded, isolated, intrusions, budget)

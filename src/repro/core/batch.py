@@ -1,22 +1,25 @@
 """Fused batched execution of the threat chain (the hot-path kernels).
 
-The per-realization executor (:meth:`~repro.core.chain.ThreatChain.run_state`)
-makes one Python pass per realization; this module holds the structures
-the *batched* executor uses to evaluate the whole (realization x asset)
-grid in a handful of numpy passes: fragility thresholds as one matrix
-comparison, the grid/WAN cascade as one coupling call per *distinct*
-damage pattern, the worst-case attack as a vectorized greedy sweep
+:meth:`~repro.core.chain.ThreatChain.run_batch` is the analysis
+executor: it evaluates a whole (realization x asset) grid in a handful
+of numpy passes -- fragility thresholds as one matrix comparison, the
+grid/WAN cascade as one coupling call per *distinct* damage pattern,
+the worst-case attack as a vectorized greedy sweep
 (:meth:`~repro.core.attacker.WorstCaseAttacker.attack_batch`), and
 Table I as a vectorized rule table
-(:func:`~repro.core.evaluator.evaluate_batch`).
+(:func:`~repro.core.evaluator.evaluate_batch`).  This module holds the
+structures it runs on.
 
 Correctness contract: the batched path must be **bitwise identical** to
-looping ``run_state`` over the ensemble.  Everything here is a straight
-vectorization of the scalar code in :mod:`repro.core.evaluator`,
-:mod:`repro.core.attacker`, and :mod:`repro.core.chain` -- never a
-re-derivation -- and ``tests/core/test_batch_properties.py`` compares
-the two element-wise across randomized thresholds, attackers, and asset
-sets for every registered preset.
+the whole-cell scalar adapter
+(:meth:`~repro.core.chain.ThreatChain.run_scalar`), which walks each
+realization through the stages' scalar ``apply``.  Everything here is a
+straight vectorization of the scalar code in
+:mod:`repro.core.evaluator`, :mod:`repro.core.attacker`, and
+:mod:`repro.core.chain` -- never a re-derivation -- and
+``tests/core/test_batch_properties.py`` compares the two element-wise
+across randomized thresholds, attackers, and asset sets for every
+registered preset.
 
 Stochastic stages batch too, under the **RNG-draw contract**: every
 stochastic model consumes a *fixed number* of uniform draws per
@@ -29,25 +32,25 @@ per-realization draws, and each stage reads its column block.  Stages
 declare their capability (and per-realization draw count) through
 :class:`BatchSupport`; :meth:`~repro.core.chain.ThreatChain.batch_plan`
 folds the declarations into a :class:`ChainBatchPlan` the executor and
-``run_batch`` auto-selection consult.  A stage whose model cannot
-honor the contract declines with a reason, and the analysis falls back
-to the per-realization executor (counter ``batch.fallback``).
+the analysis consult.  A model that cannot honor the contract declines
+with a reason (:func:`fragility_batch_reason`,
+:func:`attacker_batch_reason`), and the analysis runs the cell through
+the scalar adapter instead (counter ``batch.fallback``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.core.evaluator import evaluate_batch
-from repro.core.system_state import SiteStatus, SystemState
 from repro.core.threat import ThreatScenario
 from repro.errors import AnalysisError
 from repro.hazards.fragility import FragilityModel
+from repro.obs.observer import current as current_observer
 from repro.scada.architectures import ArchitectureSpec
 from repro.scada.placement import Placement
 
@@ -60,7 +63,8 @@ __all__ = [
     "ChainBatch",
     "BatchContext",
     "model_token",
-    "attack_batch_fallback",
+    "fragility_batch_reason",
+    "attacker_batch_reason",
     "classify_batch",
 ]
 
@@ -69,7 +73,6 @@ __all__ = [
 class BatchSupport:
     """One stage's batch-capability declaration for a specific context.
 
-    The richer successor of the bare ``supports_batch`` boolean:
     ``ok`` says whether the stage can run the fused pass, ``reason``
     names the obstacle when it cannot (surfaced through the
     ``batch.fallback`` counter and ``batch=True`` errors), and
@@ -150,6 +153,44 @@ def model_token(model: object) -> object:
     return model
 
 
+def fragility_batch_reason(model: FragilityModel) -> str | None:
+    """Why ``model`` cannot run the batched fragility pass, or ``None``.
+
+    Deterministic models batch draw-free; stochastic ones must declare
+    the RNG-draw batch-sampling contract.  The one rule behind both
+    :meth:`~repro.core.chain.HazardImpactStage.batch_support` and the
+    ``StudyConfig(batch=True)`` preflight.
+    """
+    if getattr(model, "deterministic", False) or getattr(
+        model, "batch_sampling", False
+    ):
+        return None
+    return (
+        f"fragility model {type(model).__name__} does not declare the "
+        "RNG-draw batch-sampling contract"
+    )
+
+
+def attacker_batch_reason(attacker: "Attacker") -> str | None:
+    """Why ``attacker`` cannot run the batched attack pass, or ``None``.
+
+    Deterministic attackers batch draw-free (a native kernel, or
+    per-pattern replay); stochastic ones need a kernel consuming the
+    executor's draw block plus their per-realization draw count.
+    """
+    if getattr(attacker, "deterministic", False):
+        return None
+    if callable(getattr(attacker, "batch_draws", None)) and callable(
+        getattr(attacker, "attack_batch", None)
+    ):
+        return None
+    label = getattr(attacker, "name", type(attacker).__name__)
+    return (
+        f"attacker {label!r} is stochastic without an RNG-draw batched "
+        "kernel (attack_batch + batch_draws)"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ChainBatch:
     """The batched analogue of a :class:`SystemState` mid-chain.
@@ -180,9 +221,9 @@ class BatchContext:
     one is built per (architecture, placement, scenario) cell, wrapping
     the ensemble's full ``(n_realizations, n_assets)`` depth matrix
     instead of one realization.  ``matrix_cache`` is an externally owned
-    memo (model token -> failure matrix) the pipeline shares across
-    cells, so an ensemble pays one fragility pass per distinct model --
-    the batched counterpart of the per-realization failed-asset memo.
+    memo (model token -> failure or probability grid) the pipeline shares
+    across cells, so an ensemble pays one fragility pass per distinct
+    model; every lookup counts ``pipeline.matrix_cache.hit``/``.miss``.
     """
 
     __slots__ = (
@@ -241,14 +282,7 @@ class BatchContext:
         how stages built without their own model inherit the context's.
         """
         resolved = model if model is not None else self.fragility
-        token = model_token(resolved)
-        try:
-            return self._matrix_cache[token]
-        except KeyError:
-            pass
-        matrix = resolved.failure_matrix(self.depths)
-        self._matrix_cache[token] = matrix
-        return matrix
+        return self._memo(model_token(resolved), resolved.failure_matrix)
 
     def probability_matrix(self, model: FragilityModel | None = None) -> np.ndarray:
         """The (memoized) failure-probability grid under ``model``.
@@ -261,14 +295,38 @@ class BatchContext:
         rng stream).
         """
         resolved = model if model is not None else self.fragility
-        token = ("probability", model_token(resolved))
+        return self._memo(
+            ("probability", model_token(resolved)), resolved.probability_matrix
+        )
+
+    def _memo(
+        self, token: object, build: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        obs = current_observer()
         try:
-            return self._matrix_cache[token]
+            matrix = self._matrix_cache[token]
         except KeyError:
-            pass
-        matrix = resolved.probability_matrix(self.depths)
-        self._matrix_cache[token] = matrix
+            obs.inc("pipeline.matrix_cache.miss")
+            matrix = self._matrix_cache[token] = build(self.depths)
+            return matrix
+        obs.inc("pipeline.matrix_cache.hit")
         return matrix
+
+    def failed_sets(self) -> list[frozenset[str]]:
+        """The analysis model's failure matrix as one failed set per row.
+
+        What the scalar adapter hands each realization's hazard stage
+        when the analysis fragility is deterministic: the same memoized
+        grid the batched pass reads, so both paths share one fragility
+        pass.  Rows repeat heavily (most realizations flood nothing), so
+        each distinct row becomes a set once.
+        """
+        rows, inverse = np.unique(
+            self.failure_matrix(), axis=0, return_inverse=True
+        )
+        names = self.asset_names
+        sets = [frozenset(n for n, hit in zip(names, row) if hit) for row in rows]
+        return [sets[i] for i in np.asarray(inverse).reshape(-1)]
 
     def flooded_sites(self, failed: np.ndarray) -> np.ndarray:
         """Map a failed-asset grid onto the placed site slots."""
@@ -296,80 +354,6 @@ class BatchContext:
             isolated=np.zeros(shape, dtype=bool),
             intrusions=np.zeros(shape, dtype=np.int64),
         )
-
-    def state_from_rows(
-        self,
-        flooded: np.ndarray,
-        isolated: np.ndarray,
-        intrusions: np.ndarray,
-    ) -> SystemState:
-        """One row of the grid as a scalar :class:`SystemState`."""
-        sites = tuple(
-            SiteStatus(
-                asset_name=name,
-                spec=spec,
-                flooded=bool(flooded[j]),
-                isolated=bool(isolated[j]),
-                intrusions=int(intrusions[j]),
-            )
-            for j, (name, spec) in enumerate(
-                zip(self.site_names, self.architecture.sites)
-            )
-        )
-        return SystemState(self.architecture, sites)
-
-
-def attack_batch_fallback(
-    attacker: "Attacker", ctx: BatchContext, batch: ChainBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deprecated alias for the per-pattern deterministic-attacker replay.
-
-    The library's own attackers all carry a native ``attack_batch``
-    under the unified RNG-draw signature now (the exhaustive oracle's
-    is this same per-pattern replay); custom deterministic attackers
-    without one are still replayed automatically by
-    :class:`~repro.core.chain.CyberAttackStage`.  Calling this public
-    shim warns; it is removed in 2.0.0.
-    """
-    warn_deprecated("repro.core.batch.attack_batch_fallback")
-    return _replay_attack_batch(attacker, ctx, batch)
-
-
-def _replay_attack_batch(
-    attacker: "Attacker", ctx: BatchContext, batch: ChainBatch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch any *deterministic* attacker by per-pattern replay.
-
-    A deterministic attacker is a pure function of ``(state, budget)``,
-    and the (flooded, isolated, intrusions) grid has far fewer distinct
-    rows than realizations; run the scalar attack once per distinct row
-    and scatter the results.  Used for custom deterministic attackers
-    without their own ``attack_batch``.
-    """
-    n_sites = len(ctx.site_names)
-    key = np.hstack(
-        [
-            batch.flooded.astype(np.int64),
-            batch.isolated.astype(np.int64),
-            batch.intrusions.astype(np.int64),
-        ]
-    )
-    patterns, inverse = np.unique(key, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
-    iso_out = np.zeros((len(patterns), n_sites), dtype=bool)
-    intr_out = np.zeros((len(patterns), n_sites), dtype=np.int64)
-    budget = ctx.scenario.budget
-    for p, row in enumerate(patterns):
-        state = ctx.state_from_rows(
-            row[:n_sites] != 0,
-            row[n_sites : 2 * n_sites] != 0,
-            row[2 * n_sites :],
-        )
-        attacked = attacker.attack(state, budget, None)
-        for j, site in enumerate(attacked.sites):
-            iso_out[p, j] = site.isolated
-            intr_out[p, j] = site.intrusions
-    return iso_out[inverse], intr_out[inverse]
 
 
 def classify_batch(ctx: BatchContext, batch: ChainBatch) -> np.ndarray:

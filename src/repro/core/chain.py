@@ -9,9 +9,9 @@ pipeline explicit:
 
 * :class:`Stage` -- the protocol every transform satisfies: a ``name``, a
   ``deterministic`` flag, and ``apply(state, ctx, rng) -> state``.
-* :class:`ThreatChain` -- an ordered tuple of stages plus the executor
-  that runs one realization through them and assembles the
-  :class:`RealizationOutcome`.
+* :class:`ThreatChain` -- an ordered tuple of stages plus its one cell
+  executor, :meth:`ThreatChain.run_batch`, and the whole-cell scalar
+  adapter :meth:`ThreatChain.run_scalar` for chains that cannot batch.
 * Built-in stages wrapping the existing layers:
   :class:`HazardImpactStage` (fragility -> flooded sites),
   :class:`InterdependencyStage` (grid contingency + WAN coupling from
@@ -24,26 +24,27 @@ pipeline explicit:
 
 The ``"paper"`` chain is bit-identical to the historical hardcoded
 three-step loop: same rng consumption order, same states, same
-classification.  ``scripts/bench_ensemble.py`` guards the executor's
-overhead against the hardcoded loop (<3%).
+classification.  ``scripts/bench_ensemble.py`` guards the scalar
+adapter's overhead against the hardcoded loop (<3%).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from time import perf_counter
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.core.attacker import WorstCaseAttacker
+from repro.core.attacker import WorstCaseAttacker, _replay_rows
 from repro.core.batch import (
     BatchContext,
     BatchSupport,
     ChainBatch,
     ChainBatchPlan,
-    _replay_attack_batch,
+    attacker_batch_reason,
     classify_batch,
+    fragility_batch_reason,
 )
 from repro.core.evaluator import evaluate
 from repro.core.states import OperationalState
@@ -90,18 +91,18 @@ class RealizationOutcome:
 class ChainContext:
     """Everything one realization's chain run can read (and annotate).
 
-    One context is built per :meth:`CompoundThreatAnalysis.run` call and
-    reused across realizations (the executor resets the per-realization
-    slots), so the hot loop allocates nothing but the states themselves.
+    One context is built per scalar-adapter cell and reused across
+    realizations (the adapter resets the per-realization slots), so the
+    hot loop allocates nothing but the states themselves.
 
     ``fragility`` and ``attacker`` are the *analysis-level* models; stages
-    constructed without their own model inherit these.  ``failed_lookup``
-    is the (possibly memoized) failed-asset function -- the pipeline binds
-    its :meth:`~repro.core.pipeline.CompoundThreatAnalysis._failed_assets`
-    memo here so chains share the fragility pass exactly as the hardcoded
-    loop did.  ``extras`` is a scratch mapping stages use to hand data
-    downstream (e.g. the hazard stage publishes ``"failed_assets"``; the
-    interdependency stage publishes its coupling summary).
+    constructed without their own model inherit these.  ``failed`` is the
+    current realization's failed-asset set under the analysis model when
+    the adapter already knows it (a row of the memoized failure matrix),
+    ``None`` to run the fragility model.  ``extras`` is a scratch mapping
+    stages use to hand data downstream (e.g. the hazard stage publishes
+    ``"failed_assets"``; the interdependency stage publishes its coupling
+    summary).
     """
 
     __slots__ = (
@@ -111,7 +112,7 @@ class ChainContext:
         "realization",
         "fragility",
         "attacker",
-        "failed_lookup",
+        "failed",
         "classified",
         "extras",
     )
@@ -125,10 +126,6 @@ class ChainContext:
         *,
         fragility: FragilityModel | None = None,
         attacker: Attacker | None = None,
-        failed_lookup: Callable[
-            [HazardRealization, np.random.Generator | None], frozenset[str]
-        ]
-        | None = None,
     ) -> None:
         self.architecture = architecture
         self.placement = placement
@@ -136,22 +133,17 @@ class ChainContext:
         self.realization = realization
         self.fragility = fragility if fragility is not None else ThresholdFragility()
         self.attacker = attacker if attacker is not None else WorstCaseAttacker()
-        self.failed_lookup = (
-            failed_lookup if failed_lookup is not None else self._direct_lookup
-        )
+        self.failed: frozenset[str] | None = None
         self.classified: OperationalState | None = None
         self.extras: dict[str, object] = {}
 
-    def _direct_lookup(
-        self, realization: HazardRealization, rng: np.random.Generator | None
-    ) -> frozenset[str]:
-        return realization.failed_assets(self.fragility, rng)
-
     def failed_assets(self, rng: np.random.Generator | None) -> frozenset[str]:
-        """The current realization's failed assets (memoized when bound)."""
+        """The current realization's failed assets under the analysis model."""
+        if self.failed is not None:
+            return self.failed
         if self.realization is None:
             raise ConfigurationError("chain context has no realization")
-        return self.failed_lookup(self.realization, rng)
+        return self.realization.failed_assets(self.fragility, rng)
 
     def base_state(self) -> SystemState:
         """The deployed architecture untouched by any hazard."""
@@ -163,10 +155,8 @@ class Stage(Protocol):
     """One transform of the threat chain.
 
     ``deterministic`` declares whether ``apply`` is a pure function of
-    ``(state, ctx.realization)`` -- i.e. never consumes the rng.  The
-    sweep engine only shares fragility memos across studies when the
-    chain's hazard prefix is deterministic, so a stochastic stage must
-    not claim determinism.
+    ``(state, ctx.realization)`` -- i.e. never consumes the rng; it is
+    recorded in the run manifest's chain spec.
     """
 
     name: str
@@ -192,25 +182,21 @@ class BatchedStage(Stage, Protocol):
     a :class:`~repro.core.batch.ChainBatch` (``None`` meaning "no stage
     has run yet", exactly like ``apply``'s ``None`` state) under a
     :class:`~repro.core.batch.BatchContext` and must be bitwise-faithful
-    to applying the scalar stage per realization.  ``supports_batch``
-    reports whether that is possible for a *specific* context.
+    to applying the scalar stage per realization.
 
-    A stage wrapping a *stochastic* model batches under the RNG-draw
-    contract: it additionally implements ``batch_support(ctx,
-    upstream_failed=...) -> BatchSupport`` declaring how many uniform
-    draws one scalar application consumes per realization, and its
-    ``apply_batch`` reads the executor-provided ``ctx.draws`` column
-    block instead of the rng.  :meth:`ThreatChain.batch_plan` folds the
-    declarations into a :class:`~repro.core.batch.ChainBatchPlan`;
-    ``upstream_failed`` tells the stage whether a failed-grid-producing
-    stage precedes it in the chain.  Stages without ``batch_support``
-    are consulted through the boolean ``supports_batch`` and declared
-    draw-free; custom stages without any batch methods simply keep the
-    per-realization executor.
+    A stage whose capability depends on the context (its model, or a
+    stochastic model under the RNG-draw contract) also implements
+    ``batch_support(ctx, upstream_failed=...) -> BatchSupport``: whether
+    it can batch, and how many uniform draws one scalar application
+    consumes per realization.  Its ``apply_batch`` then reads the
+    executor-provided ``ctx.draws`` column block instead of the rng.
+    :meth:`ThreatChain.batch_plan` folds the declarations into a
+    :class:`~repro.core.batch.ChainBatchPlan`; ``upstream_failed`` tells
+    the stage whether a failed-grid-producing stage precedes it.  A
+    stage with ``apply_batch`` and no ``batch_support`` is draw-free; a
+    stage without ``apply_batch`` sends its chain through the scalar
+    adapter.
     """
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        ...  # pragma: no cover - protocol
 
     def apply_batch(
         self,
@@ -226,8 +212,8 @@ class HazardImpactStage:
     """Fig. 5 box one: natural-disaster impact via the fragility model.
 
     With ``fragility=None`` (the presets) the stage inherits the
-    analysis-level model through the context's memoized lookup, so the
-    deterministic-fragility failed-asset cache keeps working unchanged.
+    analysis-level model through the context, so it reads the analysis's
+    memoized failure matrix on both executors.
     """
 
     fragility: FragilityModel | None = None
@@ -242,8 +228,8 @@ class HazardImpactStage:
 
     @property
     def deterministic(self) -> bool:
-        # An inherited model routes through the pipeline memo, which
-        # itself gates on the model's own `deterministic` flag.
+        # An inherited model is the analysis's; the stage itself adds no
+        # randomness beyond it.
         if self.fragility is None:
             return True
         return bool(getattr(self.fragility, "deterministic", False))
@@ -261,21 +247,15 @@ class HazardImpactStage:
         ctx.extras["failed_assets"] = failed
         return initial_state(ctx.architecture, ctx.placement, failed)
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
-
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
     ) -> BatchSupport:
         model = self.fragility if self.fragility is not None else ctx.fragility
+        reason = fragility_batch_reason(model)
+        if reason is not None:
+            return BatchSupport(False, reason)
         if getattr(model, "deterministic", False):
             return BatchSupport(True)
-        if not getattr(model, "batch_sampling", False):
-            return BatchSupport(
-                False,
-                f"fragility model {type(model).__name__} does not declare "
-                "the RNG-draw batch-sampling contract",
-            )
         # One uniform draw per asset per realization -- the scalar
         # failed_assets stride under the RNG-draw contract.
         return BatchSupport(True, draws=len(ctx.asset_names))
@@ -469,9 +449,6 @@ class InterdependencyStage:
                     state = state.with_isolation(index)
         return state
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
-
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
     ) -> BatchSupport:
@@ -554,29 +531,21 @@ class CyberAttackStage:
         attacker = self.attacker if self.attacker is not None else ctx.attacker
         return attacker.attack(state, ctx.scenario.budget, rng)
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return self.batch_support(ctx).ok
-
     def batch_support(
         self, ctx: BatchContext, upstream_failed: bool = False
     ) -> BatchSupport:
         attacker = self.attacker if self.attacker is not None else ctx.attacker
+        reason = attacker_batch_reason(attacker)
+        if reason is not None:
+            return BatchSupport(False, reason)
         if getattr(attacker, "deterministic", False):
             # Deterministic attackers batch draw-free: a native kernel
             # when they have one, per-pattern replay otherwise.
             return BatchSupport(True)
-        # A stochastic attacker batches under the RNG-draw contract: it
-        # must declare its per-realization draw count (batch_draws) and
-        # provide a native kernel consuming the executor's draw block.
-        counter = getattr(attacker, "batch_draws", None)
-        if callable(counter) and callable(getattr(attacker, "attack_batch", None)):
-            return BatchSupport(True, draws=int(counter(ctx.scenario.budget)))
-        label = getattr(attacker, "name", type(attacker).__name__)
-        return BatchSupport(
-            False,
-            f"attacker {label!r} is stochastic without an RNG-draw "
-            "batched kernel (attack_batch + batch_draws)",
-        )
+        # A stochastic attacker batches under the RNG-draw contract,
+        # declaring its per-realization draw count.
+        draws = getattr(attacker, "batch_draws")(ctx.scenario.budget)
+        return BatchSupport(True, draws=int(draws))
 
     def apply_batch(
         self,
@@ -609,7 +578,17 @@ class CyberAttackStage:
                     ctx.scenario.budget,
                 )
         else:
-            isolated, intrusions = _replay_attack_batch(attacker, ctx, batch)
+            # A deterministic attacker without a kernel: attack each
+            # distinct (flooded, isolated, intrusions) row once.
+            isolated, intrusions = _replay_rows(
+                attacker,
+                ctx.architecture,
+                batch.flooded,
+                batch.isolated,
+                batch.intrusions,
+                ctx.scenario.budget,
+                site_names=ctx.site_names,
+            )
         return batch.replace(isolated=isolated, intrusions=intrusions)
 
 
@@ -630,14 +609,6 @@ class ClassificationStage:
             state = ctx.base_state()
         ctx.classified = evaluate(state)
         return state
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return True
-
-    def batch_support(
-        self, ctx: BatchContext, upstream_failed: bool = False
-    ) -> BatchSupport:
-        return BatchSupport(True)
 
     def apply_batch(
         self,
@@ -665,9 +636,6 @@ class NoOpStage:
     ) -> SystemState:
         return state
 
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        return True
-
     def apply_batch(
         self,
         batch: ChainBatch | None,
@@ -679,11 +647,12 @@ class NoOpStage:
 
 @dataclass(frozen=True)
 class ThreatChain:
-    """An ordered pipeline of stages plus its per-realization executor.
+    """An ordered pipeline of stages plus its executor.
 
     Stage names need not be unique; per-stage timings accumulate by name.
-    A chain without a :class:`ClassificationStage` still classifies: the
-    executor evaluates the final state when no stage did.
+    A chain without a :class:`ClassificationStage` still classifies: both
+    the executor and the adapter evaluate the final state when no stage
+    did.
     """
 
     name: str
@@ -715,21 +684,6 @@ class ThreatChain:
             names.append(stage.name)
         return tuple(names)
 
-    def hazard_prefix_deterministic(self) -> bool:
-        """Whether the failed-asset memo may be shared across studies.
-
-        True when every stage up to and including the first
-        post-disaster-capturing stage (the hazard impact) is
-        deterministic; a chain with no hazard stage returns False (there
-        is no fragility pass to share).
-        """
-        for stage in self.stages:
-            if not stage.deterministic:
-                return False
-            if getattr(stage, "captures", None) == "post_disaster":
-                return True
-        return False
-
     def spec(self) -> dict:
         """The resolved chain description recorded in run manifests."""
         return {
@@ -751,67 +705,78 @@ class ThreatChain:
         self, ctx: ChainContext, rng: np.random.Generator | None
     ) -> RealizationOutcome:
         """One realization through every stage, with state snapshots."""
-        ctx.classified = None
-        ctx.extras.clear()
-        state: SystemState | None = None
         snapshots: dict[str, SystemState] = {}
-        for stage in self.stages:
-            state = stage.apply(state, ctx, rng)
-            captures = getattr(stage, "captures", None)
-            if captures is not None:
-                snapshots[captures] = state
+        state = self._apply(ctx, rng, None, snapshots)
         return self._outcome(ctx, state, snapshots)
 
-    def run_state(
-        self, ctx: ChainContext, rng: np.random.Generator | None
-    ) -> OperationalState:
-        """The classification only -- the ensemble loop's fast path."""
-        ctx.classified = None
-        ctx.extras.clear()
-        state: SystemState | None = None
-        for stage in self.stages:
-            state = stage.apply(state, ctx, rng)
-        if ctx.classified is not None:
-            return ctx.classified
-        return evaluate(state if state is not None else ctx.base_state())
+    def run_scalar(
+        self,
+        ctx: ChainContext,
+        realizations: Iterable[HazardRealization],
+        rng: np.random.Generator | None,
+        failed: Sequence[frozenset[str]] | None = None,
+        timer: dict[str, float] | None = None,
+    ) -> np.ndarray:
+        """The whole-cell scalar adapter, returning :meth:`run_batch`'s codes.
 
-    def run_state_timed(
+        Walks each realization through the stages' scalar ``apply`` and
+        returns the same ``(n_realizations,)`` severity codes the batched
+        executor does.  It serves chains the executor cannot run (a
+        scalar-only stage, a model without the RNG-draw contract, an
+        ensemble without a depth grid) and is the reference the batched
+        path is tested against.  ``failed[i]``, when given, is
+        realization ``i``'s failed-asset set under the analysis model
+        (see :attr:`ChainContext.failed`).  ``timer`` accumulates
+        per-stage wall-clock seconds by stage name.
+        """
+        codes: list[int] = []
+        for i, realization in enumerate(realizations):
+            ctx.realization = realization
+            ctx.failed = None if failed is None else failed[i]
+            state = self._apply(ctx, rng, timer)
+            classified = ctx.classified
+            if classified is None:
+                classified = evaluate(state if state is not None else ctx.base_state())
+            codes.append(classified.severity)
+        ctx.failed = None
+        return np.array(codes, dtype=np.int64)
+
+    def _apply(
         self,
         ctx: ChainContext,
         rng: np.random.Generator | None,
-        totals: dict[str, float],
-    ) -> OperationalState:
-        """The fast path with per-stage wall-clock accumulated by name."""
-        perf = time.perf_counter
+        timer: dict[str, float] | None,
+        snapshots: dict[str, SystemState] | None = None,
+    ) -> SystemState | None:
+        """The per-realization stage loop shared by run and run_scalar."""
         ctx.classified = None
         ctx.extras.clear()
         state: SystemState | None = None
         for stage in self.stages:
-            t0 = perf()
-            state = stage.apply(state, ctx, rng)
-            elapsed = perf() - t0
-            name = stage.name
-            totals[name] = totals.get(name, 0.0) + elapsed
-        if ctx.classified is not None:
-            return ctx.classified
-        return evaluate(state if state is not None else ctx.base_state())
-
-    def supports_batch(self, ctx: BatchContext) -> bool:
-        """Whether every stage can run the fused batched pass under ``ctx``."""
-        return self.batch_plan(ctx).ok
+            if timer is None:
+                state = stage.apply(state, ctx, rng)
+            else:
+                t0 = perf_counter()
+                state = stage.apply(state, ctx, rng)
+                timer[stage.name] = timer.get(stage.name, 0.0) + perf_counter() - t0
+            if snapshots is not None:
+                captures = getattr(stage, "captures", None)
+                if captures is not None:
+                    snapshots[captures] = state
+        return state
 
     def batch_plan(self, ctx: BatchContext) -> ChainBatchPlan:
         """The chain's batch capability and per-stage rng-draw layout.
 
         Walks the stages collecting their :class:`BatchSupport`
-        declarations (falling back to the boolean ``supports_batch``
-        probe for stages without one -- those are treated as draw-free).
-        ``upstream_failed`` tracks whether a failed-grid-producing stage
-        precedes, so e.g. the interdependency coupling batches under
-        stochastic fragility whenever a hazard stage feeds it.  A stage
-        without ``apply_batch``, or one that declines, yields a
-        not-``ok`` plan whose reason names the obstacle; ``run_batch``
-        auto-selection and the ``batch.fallback`` counter consume it.
+        declarations (a stage with ``apply_batch`` and no
+        ``batch_support`` is draw-free).  ``upstream_failed`` tracks
+        whether a failed-grid-producing stage precedes, so e.g. the
+        interdependency coupling batches under stochastic fragility
+        whenever a hazard stage feeds it.  A stage without
+        ``apply_batch``, or one that declines, yields a not-``ok`` plan
+        whose reason names the obstacle; the analysis then runs the cell
+        through :meth:`run_scalar` and counts ``batch.fallback``.
         """
         stage_draws: list[int] = []
         upstream_failed = False
@@ -823,24 +788,18 @@ class ThreatChain:
                     stage=stage.name,
                 )
             probe = getattr(stage, "batch_support", None)
-            if callable(probe):
-                support = probe(ctx, upstream_failed=upstream_failed)
-                if not support.ok:
-                    return ChainBatchPlan(
-                        False,
-                        f"stage {stage.name!r}: {support.reason}",
-                        stage=stage.name,
-                    )
-                stage_draws.append(int(support.draws))
-            else:
-                legacy = getattr(stage, "supports_batch", None)
-                if callable(legacy) and not legacy(ctx):
-                    return ChainBatchPlan(
-                        False,
-                        f"stage {stage.name!r} declines batching",
-                        stage=stage.name,
-                    )
-                stage_draws.append(0)
+            support = (
+                probe(ctx, upstream_failed=upstream_failed)
+                if callable(probe)
+                else BatchSupport(True)
+            )
+            if not support.ok:
+                return ChainBatchPlan(
+                    False,
+                    f"stage {stage.name!r}: {support.reason}",
+                    stage=stage.name,
+                )
+            stage_draws.append(int(support.draws))
             if getattr(stage, "emits_failed_grid", False):
                 upstream_failed = True
         return ChainBatchPlan(True, None, tuple(stage_draws))
@@ -850,46 +809,29 @@ class ThreatChain:
         ctx: BatchContext,
         rng: np.random.Generator | None,
         plan: ChainBatchPlan | None = None,
+        timer: dict[str, float] | None = None,
     ) -> np.ndarray:
         """Every realization through every stage as fused numpy passes.
 
-        Returns ``(n_realizations,)`` severity codes indexing
-        :data:`~repro.core.states.STATE_ORDER` -- the batched analogue of
-        mapping :meth:`run_state` over the ensemble, bitwise identical
-        to it for the built-in stages.  Stochastic stages replay the
-        scalar loop's rng stream from one up-front matrix draw (the
-        RNG-draw contract): the executor hands each stage its column
-        block through ``ctx.draws``.
+        The analysis executor.  Returns ``(n_realizations,)`` severity
+        codes indexing :data:`~repro.core.states.STATE_ORDER`, bitwise
+        identical to :meth:`run_scalar` for the built-in stages.
+        Stochastic stages replay the scalar stream from one up-front
+        matrix draw (the RNG-draw contract): the executor hands each
+        stage its column block through ``ctx.draws``.  ``timer``
+        accumulates per-stage wall-clock seconds by stage name.
         """
         blocks = self._draw_blocks(ctx, rng, plan)
         batch: ChainBatch | None = None
         try:
             for stage, block in zip(self.stages, blocks):
+                t0 = perf_counter()
                 ctx.draws = block
                 batch = getattr(stage, "apply_batch")(batch, ctx, rng)
-        finally:
-            ctx.draws = None
-        return self._batch_codes(ctx, batch)
-
-    def run_batch_timed(
-        self,
-        ctx: BatchContext,
-        rng: np.random.Generator | None,
-        totals: dict[str, float],
-        plan: ChainBatchPlan | None = None,
-    ) -> np.ndarray:
-        """The batched pass with per-stage wall-clock accumulated by name."""
-        perf = time.perf_counter
-        blocks = self._draw_blocks(ctx, rng, plan)
-        batch: ChainBatch | None = None
-        try:
-            for stage, block in zip(self.stages, blocks):
-                t0 = perf()
-                ctx.draws = block
-                batch = getattr(stage, "apply_batch")(batch, ctx, rng)
-                elapsed = perf() - t0
-                name = stage.name
-                totals[name] = totals.get(name, 0.0) + elapsed
+                if timer is not None:
+                    timer[stage.name] = (
+                        timer.get(stage.name, 0.0) + perf_counter() - t0
+                    )
         finally:
             ctx.draws = None
         return self._batch_codes(ctx, batch)

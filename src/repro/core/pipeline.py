@@ -10,12 +10,14 @@ Workflow per realization::
 and per (architecture, placement, scenario): the operational profile over
 the whole ensemble.
 
-Since the threat-chain refactor the per-realization workflow is owned by
-:mod:`repro.core.chain`: :class:`CompoundThreatAnalysis` resolves a
+The workflow itself is owned by :mod:`repro.core.chain`:
+:class:`CompoundThreatAnalysis` resolves a
 :class:`~repro.core.chain.ThreatChain` (default ``"paper"``, the exact
-pipeline above) and delegates every realization to its executor.  The
-class keeps the ensemble/fragility/attacker wiring, the memoized
-failed-asset pass, and the matrix/profile aggregation.
+pipeline above) and runs each cell through its executor
+(:meth:`~repro.core.chain.ThreatChain.run_batch`) or, when the chain
+cannot batch, its scalar adapter.  The class keeps the
+ensemble/fragility/attacker wiring, the memoized depth and failure
+grids, and the matrix/profile aggregation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.attacker import WorstCaseAttacker
-from repro.core.batch import BatchContext
+from repro.core.batch import BatchContext, ChainBatchPlan
 from repro.core.chain import (
     Attacker,
     ChainContext,
@@ -67,18 +69,13 @@ class CompoundThreatAnalysis:
     seed:
         Seeds the rng handed to stochastic attackers (ignored by the
         deterministic ones), keeping runs reproducible.
-    failed_cache:
-        An externally owned failed-asset memo (realization index ->
-        failed set) to use instead of a private one.  The sweep engine
-        passes one dict per (ensemble, fragility) group so every study
-        sharing that pair reuses the fragility pass; only sound when the
-        ensemble and fragility model really are shared.
     matrix_cache:
-        An externally owned batched-executor memo (model token ->
-        failure/probability grid).  Unlike ``failed_cache`` it is sound
-        for stochastic fragility too -- the cached grids are pure
-        functions of the shared depth grid; sampled outcomes are never
-        stored -- so the sweep engine shares one per ensemble group.
+        An externally owned fragility memo (model token ->
+        failure/probability grid) to use instead of a private one.  The
+        cached grids are pure functions of the ensemble's depth grid --
+        sampled outcomes are never stored -- so it is sound for
+        stochastic fragility too, and the sweep engine shares one per
+        ensemble group.
     chain:
         The threat chain to run each realization through: a registered
         name, a :class:`~repro.core.chain.ThreatChain`, or ``None`` for
@@ -89,11 +86,11 @@ class CompoundThreatAnalysis:
         and every chain stage supports batching (stochastic fragility
         models and attackers included, via the RNG-draw contract --
         see :meth:`~repro.core.chain.ThreatChain.batch_plan`), the
-        per-realization loop otherwise (counter ``batch.fallback``
-        records why).  ``False`` forces the per-realization loop;
-        ``True`` requires the batched path and raises
-        :class:`~repro.errors.AnalysisError` when it is unavailable.
-        Both executors are bitwise identical for the built-in chains.
+        whole-cell scalar adapter otherwise (counter ``batch.fallback``
+        records why).  ``False`` forces the adapter; ``True`` requires
+        the batched path and raises :class:`~repro.errors.AnalysisError`
+        when it is unavailable.  Both paths are bitwise identical for
+        the built-in chains.
     weights:
         Optional per-realization importance weights (one per ensemble
         member, in index order).  When given, every profile is a
@@ -109,7 +106,6 @@ class CompoundThreatAnalysis:
         fragility: FragilityModel | None = None,
         attacker: Attacker | None = None,
         seed: int = 0,
-        failed_cache: dict[int, frozenset[str]] | None = None,
         chain: ThreatChain | str | None = None,
         batch: bool | None = None,
         weights: np.ndarray | None = None,
@@ -131,61 +127,26 @@ class CompoundThreatAnalysis:
         self.chain = resolve_chain(chain)
         self.batch = batch
         self._seed = seed
-        # Failed-asset sets per realization, for deterministic fragility
-        # models.  Keyed by realization index: indices identify a
-        # realization within the ensemble even when the object is rebuilt
-        # (cache loads, checkpoint resumes), unlike id()s, which are only
-        # stable while the original ensemble objects stay alive.
-        self._failed_cache: dict[int, frozenset[str]] = (
-            {} if failed_cache is None else failed_cache
-        )
-        # Batched-executor memos, shared across every matrix cell: the
-        # ensemble's depth grid is resolved once, and failure matrices /
-        # probability grids are cached per fragility model (the batched
-        # counterpart of the per-realization failed-asset memo above).
-        # Both entry kinds are pure functions of (depths, model) -- the
-        # stochastic path samples fresh draws *against* the cached
-        # probability grid, never caching outcomes -- so the sweep
-        # engine may pass one externally owned ``matrix_cache`` per
-        # shared ensemble and every study reuses the grids.
+        # Memos shared across every matrix cell: the ensemble's depth
+        # grid is resolved once, and failure matrices / probability grids
+        # are cached per fragility model.  Both entry kinds are pure
+        # functions of (depths, model) -- the stochastic path samples
+        # fresh draws *against* the cached probability grid, never
+        # caching outcomes -- so the sweep engine may pass one externally
+        # owned ``matrix_cache`` per shared ensemble.
         self._batch_depths: tuple[list[str], np.ndarray] | None = None
         self._batch_probed = False
         self._failure_matrix_cache: dict[object, np.ndarray] = (
             {} if matrix_cache is None else matrix_cache
         )
 
-    def _failed_assets(
-        self,
-        realization: HazardRealization,
-        rng: np.random.Generator | None,
-    ) -> frozenset[str]:
-        """The realization's failed assets, memoized when that is sound.
-
-        A deterministic fragility model never consumes the rng, so its
-        failed-asset set is a pure function of the realization and can be
-        computed once and shared across every (scenario, architecture)
-        cell of :meth:`run_matrix`.  Stochastic models are re-sampled on
-        every call, exactly as before.
-        """
-        if not getattr(self.fragility, "deterministic", False):
-            return realization.failed_assets(self.fragility, rng)
-        key = realization.index
-        try:
-            failed = self._failed_cache[key]
-        except KeyError:
-            current_observer().inc("pipeline.failed_cache.miss")
-            failed = realization.failed_assets(self.fragility, rng)
-            self._failed_cache[key] = failed
-            return failed
-        current_observer().inc("pipeline.failed_cache.hit")
-        return failed
-
     def _depth_grid(self) -> tuple[list[str], np.ndarray] | None:
         """The ensemble's (asset names, depth matrix), probed once.
 
         ``None`` when the ensemble does not expose a per-asset intensity
-        grid -- the batched executor then stays off and the
-        per-realization loop handles everything, as before.
+        grid -- the batched executor then stays off and the scalar
+        adapter runs every cell, each stage running its own fragility
+        pass.
         """
         if not self._batch_probed:
             self._batch_probed = True
@@ -237,7 +198,6 @@ class CompoundThreatAnalysis:
             scenario,
             fragility=self.fragility,
             attacker=self.attacker,
-            failed_lookup=self._failed_assets,
         )
 
     # ------------------------------------------------------------------
@@ -251,7 +211,7 @@ class CompoundThreatAnalysis:
         rng: np.random.Generator | None = None,
     ) -> SystemState:
         """Apply the natural-disaster impact to a deployed architecture."""
-        failed = self._failed_assets(realization, rng)
+        failed = realization.failed_assets(self.fragility, rng)
         return initial_state(architecture, placement, failed)
 
     def outcome(
@@ -270,138 +230,102 @@ class CompoundThreatAnalysis:
     # ------------------------------------------------------------------
     # Ensemble-level analysis
     # ------------------------------------------------------------------
-    def _profile_from_states(self, states) -> OperationalProfile:
-        if self.weights is None:
-            return OperationalProfile.from_states(states)
-        from repro.sampling.weighted import WeightedProfile
-
-        # WeightedProfile duck-types the OperationalProfile read surface.
-        return WeightedProfile.from_states(states, self.weights)  # type: ignore[return-value]
-
-    def _profile_from_codes(self, codes: np.ndarray) -> OperationalProfile:
-        if self.weights is None:
-            return OperationalProfile.from_state_codes(codes)
-        from repro.sampling.weighted import WeightedProfile
-
-        return WeightedProfile.from_state_codes(codes, self.weights)  # type: ignore[return-value]
-
     def run(
         self,
         architecture: ArchitectureSpec,
         placement: Placement,
         scenario: ThreatScenario,
     ) -> OperationalProfile:
-        """Outcome probabilities for one configuration under one scenario."""
-        if self.batch is not False:
-            bctx = self._batch_context(architecture, placement, scenario)
-            plan = self.chain.batch_plan(bctx) if bctx is not None else None
-            if plan is not None and plan.ok:
-                return self._run_batched(bctx, plan)
-            if plan is None:
-                reason = "ensemble exposes no per-asset depth grid"
-                slug = "no_depth_grid"
-            else:
-                reason = f"chain {self.chain.name!r} is unbatchable: {plan.reason}"
-                slug = f"stage.{plan.stage}" if plan.stage else "unbatchable"
-            if self.batch is True:
-                raise AnalysisError(f"batched execution required but {reason}")
-            self._note_fallback(reason, slug)
-        rng = np.random.default_rng(self._seed)
-        obs = current_observer()
-        if not obs.enabled:
-            ctx = self._context(architecture, placement, scenario)
-            chain = self.chain
-            states = []
-            for realization in self.ensemble:
-                ctx.realization = realization
-                states.append(chain.run_state(ctx, rng))
-            return self._profile_from_states(states)
-        return self._run_observed(architecture, placement, scenario, rng, obs)
+        """Outcome probabilities for one configuration under one scenario.
 
-    def _run_observed(
-        self, architecture, placement, scenario, rng, obs
-    ) -> OperationalProfile:
-        """The same per-realization loop, timed stage by stage.
-
-        The chain's stages interleave per realization, so each stage's
-        total is accumulated across the whole ensemble and reported as
-        one aggregate ``pipeline.stage.<name>`` child span (plus a
-        histogram sample), rather than allocating thousands of span
-        objects.
+        One body for both paths: the cell's severity codes come from the
+        batched executor when the chain batches, from the scalar adapter
+        otherwise, each seeded with a fresh ``default_rng(seed)`` per
+        cell (a deterministic batched plan draws nothing and seeds
+        nothing).  With an observer enabled the executor's per-stage
+        timer becomes one aggregate ``pipeline.stage.<name>`` child span
+        per stage, rather than thousands of span objects.
         """
-        ctx = self._context(architecture, placement, scenario)
         chain = self.chain
-        totals: dict[str, float] = {}
-        states = []
+        bctx = self._batch_context(architecture, placement, scenario)
+        plan = self._plan(bctx)
+        obs = current_observer()
+        timer: dict[str, float] | None = {} if obs.enabled else None
         with obs.span(
             "analysis.run",
             scenario=scenario.name,
             architecture=architecture.name,
             chain=chain.name,
+            executor="batched" if plan is not None else "scalar",
         ):
-            for realization in self.ensemble:
-                ctx.realization = realization
-                states.append(chain.run_state_timed(ctx, rng, totals))
-            n = len(states)
-            for name, total in totals.items():
-                obs.record_span(f"pipeline.stage.{name}", total, realizations=n)
-            obs.inc("pipeline.realizations", n)
-        for name, total in totals.items():
-            obs.observe(f"pipeline.stage.{name}_s", total)
-        return self._profile_from_states(states)
+            if plan is not None:
+                assert bctx is not None  # a plan implies a depth grid
+                rng = (
+                    np.random.default_rng(self._seed)
+                    if plan.total_draws > 0
+                    else None
+                )
+                codes = chain.run_batch(bctx, rng, plan, timer)
+            else:
+                # The adapter reads deterministic failed sets from the
+                # same memoized failure matrix the executor uses.
+                failed = (
+                    bctx.failed_sets()
+                    if bctx is not None
+                    and getattr(self.fragility, "deterministic", False)
+                    else None
+                )
+                codes = chain.run_scalar(
+                    self._context(architecture, placement, scenario),
+                    self.ensemble,
+                    np.random.default_rng(self._seed),
+                    failed,
+                    timer,
+                )
+            if timer is not None:
+                n = int(codes.shape[0])
+                for name, total in timer.items():
+                    obs.record_span(f"pipeline.stage.{name}", total, realizations=n)
+                obs.inc("pipeline.realizations", n)
+                if plan is not None:
+                    obs.inc("pipeline.batched_runs")
+        if timer is not None:
+            for name, total in timer.items():
+                obs.observe(f"pipeline.stage.{name}_s", total)
+        if self.weights is None:
+            return OperationalProfile.from_state_codes(codes)
+        from repro.sampling.weighted import WeightedProfile
 
-    def _note_fallback(self, reason: str, slug: str) -> None:
-        """Record one silent batch-to-scalar fallback with its reason.
+        # WeightedProfile duck-types the OperationalProfile read surface.
+        return WeightedProfile.from_state_codes(codes, self.weights)  # type: ignore[return-value]
 
-        Counters are flat name -> value maps, so the reason rides as a
-        suffixed counter (plus a structured event); `format_run_report`
-        surfaces both the total and the per-reason split, so users can
-        tell *why* a run is on the slow path.
+    def _plan(self, bctx: BatchContext | None) -> ChainBatchPlan | None:
+        """The cell's batch plan, or ``None`` when the adapter runs it.
+
+        ``batch=None`` falls back silently but counted: counters are
+        flat name -> value maps, so the reason rides as a suffixed
+        ``batch.fallback.reason.<slug>`` counter (plus a structured
+        event) that `format_run_report` surfaces, so users can tell
+        *why* a run is on the slow path.  ``batch=True`` raises instead.
         """
+        if self.batch is False:
+            return None
+        plan = self.chain.batch_plan(bctx) if bctx is not None else None
+        if plan is not None and plan.ok:
+            return plan
+        if plan is None:
+            reason = "ensemble exposes no per-asset depth grid"
+            slug = "no_depth_grid"
+        else:
+            reason = f"chain {self.chain.name!r} is unbatchable: {plan.reason}"
+            slug = f"stage.{plan.stage}" if plan.stage else "unbatchable"
+        if self.batch is True:
+            raise AnalysisError(f"batched execution required but {reason}")
         obs = current_observer()
         obs.inc("batch.fallback")
         obs.inc(f"batch.fallback.reason.{slug}")
         obs.event("batch.fallback", reason=reason, chain=self.chain.name)
-
-    def _run_batched(
-        self, bctx: BatchContext, plan=None
-    ) -> OperationalProfile:
-        """One cell via the fused batched executor.
-
-        Deterministic chains consume no draws, so no generator is
-        seeded (the scalar path's generator is equally untouched) --
-        that keeps the historical deterministic path byte for byte.
-        Stochastic chains get a fresh ``default_rng(seed)`` per cell,
-        exactly mirroring the scalar ``run()``'s per-call generator, so
-        the matrix draw replays the identical stream.
-        """
-        if plan is None:
-            plan = self.chain.batch_plan(bctx)
-        rng = (
-            np.random.default_rng(self._seed) if plan.total_draws > 0 else None
-        )
-        obs = current_observer()
-        chain = self.chain
-        if not obs.enabled:
-            codes = chain.run_batch(bctx, rng, plan)
-            return self._profile_from_codes(codes)
-        totals: dict[str, float] = {}
-        with obs.span(
-            "analysis.run",
-            scenario=bctx.scenario.name,
-            architecture=bctx.architecture.name,
-            chain=chain.name,
-            executor="batched",
-        ):
-            codes = chain.run_batch_timed(bctx, rng, totals, plan)
-            n = int(codes.shape[0])
-            for name, total in totals.items():
-                obs.record_span(f"pipeline.stage.{name}", total, realizations=n)
-            obs.inc("pipeline.realizations", n)
-            obs.inc("pipeline.batched_runs")
-        for name, total in totals.items():
-            obs.observe(f"pipeline.stage.{name}_s", total)
-        return self._profile_from_codes(codes)
+        return None
 
     def run_matrix(
         self,

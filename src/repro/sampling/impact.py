@@ -377,12 +377,10 @@ class LoadShedStage:
         ctx.extras["load_shed"] = self._solver.solve(frozenset(failed))
         return state
 
-    # In the fused batched pass the stage is a no-op: impact numbers for
-    # batch runs come from compute_impacts / StudyResult.exceedance(),
-    # keeping run_batch bitwise identical to the scalar classification.
-    def supports_batch(self, ctx: "BatchContext") -> bool:
-        return True
-
+    # In the fused batched pass the stage is a draw-free no-op: impact
+    # numbers for batch runs come from compute_impacts /
+    # StudyResult.exceedance(), keeping run_batch bitwise identical to
+    # the scalar classification.
     def apply_batch(
         self,
         batch: "ChainBatch | None",
@@ -424,9 +422,6 @@ class EconomicLossStage:
             impact.shed_mw, len(failed)
         )
         return state
-
-    def supports_batch(self, ctx: "BatchContext") -> bool:
-        return True
 
     def apply_batch(
         self,

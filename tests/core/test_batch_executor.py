@@ -136,7 +136,6 @@ def test_stochastic_fragility_batches_bitwise_identically(small_ensemble):
     bctx = analysis._batch_context(
         PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
     )
-    assert analysis.chain.supports_batch(bctx)
     plan = analysis.chain.batch_plan(bctx)
     assert plan.ok
     # One draw per asset per realization, charged to the hazard stage.
@@ -222,6 +221,40 @@ def test_custom_stage_without_batch_support_falls_back(small_ensemble):
         CompoundThreatAnalysis(small_ensemble, chain=chain, batch=True).run(*args)
 
 
+def test_scalar_only_stage_is_observed_on_the_adapter(small_ensemble):
+    """The adapter records the same spans the executor does, plus why."""
+    from repro.obs import Observability, activate
+
+    class TracingStage:
+        name = "tracing"
+        deterministic = True
+
+        def apply(self, state, ctx, rng):
+            return state
+
+    chain = ThreatChain(
+        name="custom-observed",
+        stages=(HazardImpactStage(), TracingStage(), ClassificationStage()),
+    )
+    obs = Observability()
+    with activate(obs):
+        CompoundThreatAnalysis(small_ensemble, chain=chain).run(
+            PAPER_CONFIGURATIONS[0], PLACEMENT_WAIAU, PAPER_SCENARIOS[0]
+        )
+    (cell,) = obs.tracer.roots
+    assert cell.name == "analysis.run"
+    assert cell.meta["executor"] == "scalar"
+    assert [child.name for child in cell.children] == [
+        "pipeline.stage.fragility",
+        "pipeline.stage.tracing",
+        "pipeline.stage.classification",
+    ]
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["batch.fallback.reason.stage.tracing"] == 1
+    assert counters["pipeline.realizations"] == len(small_ensemble)
+    assert "pipeline.batched_runs" not in counters
+
+
 def test_ensemble_without_depth_grid_falls_back():
     class ListEnsemble:
         """Realizations only -- no depth grid to batch over."""
@@ -289,6 +322,40 @@ def test_attack_stage_with_explicit_attacker_batches():
     batched = CompoundThreatAnalysis(ensemble, chain=chain, batch=True).run(*args)
     oracle = CompoundThreatAnalysis(ensemble, chain=chain, batch=False).run(*args)
     assert batched.counts == oracle.counts
+
+    class NamedSiteAttacker:
+        """Deterministic, no attack_batch, and reads site names: the
+        per-pattern replay must hand it the placed names."""
+
+        name = "named-site"
+        deterministic = True
+
+        def attack(self, state, budget, rng=None):
+            for index, site in enumerate(state.sites):
+                if site.asset_name == PLACEMENT_WAIAU.primary and not site.flooded:
+                    state = state.with_isolation(index)
+            return WorstCaseAttacker().attack(state, budget, rng)
+
+    custom = ThreatChain(
+        name="custom-deterministic-attacker",
+        stages=(
+            HazardImpactStage(),
+            CyberAttackStage(attacker=NamedSiteAttacker()),
+            ClassificationStage(),
+        ),
+    )
+    for architecture in PAPER_CONFIGURATIONS:
+        for scenario in PAPER_SCENARIOS:
+            cell = (architecture, PLACEMENT_WAIAU, scenario)
+            forced = CompoundThreatAnalysis(ensemble, chain=custom, batch=True)
+            reference = CompoundThreatAnalysis(ensemble, chain=custom, batch=False)
+            bctx = forced._batch_context(*cell)
+            codes = custom.run_batch(bctx, None)
+            expected = custom.run_scalar(
+                reference._context(*cell), ensemble, None
+            )
+            assert codes.tolist() == expected.tolist()
+            assert forced.run(*cell).counts == reference.run(*cell).counts
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Property test: the batched executor equals the per-realization oracle.
+"""Property test: the batched executor equals the scalar adapter.
 
 The batched path's contract is *bitwise identity* -- not statistical
-agreement -- with looping ``run_state`` over the ensemble.  Hypothesis
+agreement -- with the whole-cell scalar adapter (``batch=False``), which
+walks every realization through the stages' scalar ``apply``.  Hypothesis
 drives randomized fragility thresholds, attack budgets, asset subsets,
 and depth grids through every registered preset chain, both placements,
 and every paper architecture, comparing element-wise severity codes and
@@ -81,18 +82,21 @@ def test_batched_equals_per_realization(
         ensemble, fragility=fragility, chain=chain_name, batch=True
     )
 
-    # Element-wise severity codes, in ensemble order.
+    # Element-wise severity codes, in ensemble order.  The adapter runs
+    # without precomputed failed sets, so every realization runs its own
+    # fragility pass, independent of the batched failure matrix.
     chain = get_chain(chain_name)
     bctx = batched._batch_context(architecture, placement, scenario)
-    assert bctx is not None and chain.supports_batch(bctx)
+    assert bctx is not None and chain.batch_plan(bctx).ok
     codes = chain.run_batch(bctx, None)
-    ctx = oracle._context(architecture, placement, scenario)
-    rng = np.random.default_rng(0)
-    for i, realization in enumerate(ensemble):
-        ctx.realization = realization
-        state = chain.run_state(ctx, rng)
-        assert state.severity == int(codes[i]), (
-            f"realization {i}: scalar {state} != "
+    expected = chain.run_scalar(
+        oracle._context(architecture, placement, scenario),
+        ensemble,
+        np.random.default_rng(0),
+    )
+    for i in range(len(ensemble)):
+        assert int(expected[i]) == int(codes[i]), (
+            f"realization {i}: scalar {STATE_ORDER[int(expected[i])]} != "
             f"batched {STATE_ORDER[int(codes[i])]}"
         )
 

@@ -145,18 +145,6 @@ class TestIntrospection:
         )
         assert chain.deterministic_prefix() == ("fragility",)
 
-    def test_hazard_prefix_deterministic(self):
-        assert CHAIN_PAPER.hazard_prefix_deterministic()
-        assert CHAIN_GRID_COUPLED.hazard_prefix_deterministic()
-        # A stochastic stage ahead of the hazard poisons the memo.
-        poisoned = ThreatChain(
-            "poisoned", (_StochasticStage(), HazardImpactStage())
-        )
-        assert not poisoned.hazard_prefix_deterministic()
-        # No hazard stage -> nothing to share.
-        hazardless = ThreatChain("hazardless", (NoOpStage(),))
-        assert not hazardless.hazard_prefix_deterministic()
-
 
 class TestPaperChainEquivalence:
     def test_outcomes_match_a_hand_rolled_loop(self):

@@ -3,7 +3,9 @@
 With a deterministic fragility model the failed-asset set is a pure
 function of the realization, so ``run_matrix`` must evaluate fragility
 exactly once per realization -- not once per (scenario, architecture)
-cell -- and the memoized profiles must equal the unmemoized ones.
+cell -- and the memoized profiles must equal the unmemoized ones.  The
+one memo is the analysis's failure matrix, which the scalar adapter
+reads row by row.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ class CountingFragility(FragilityModel):
     def __init__(self, threshold_m: float = PAPER_FAILURE_THRESHOLD_M) -> None:
         self.threshold_m = threshold_m
         self.failed_assets_calls = 0
+        self.matrix_rows = 0
 
     def failure_probability(self, depth_m: float) -> float:
         return 1.0 if depth_m > self.threshold_m else 0.0
@@ -32,6 +35,10 @@ class CountingFragility(FragilityModel):
     def failed_assets(self, depths_m, rng=None):
         self.failed_assets_calls += 1
         return super().failed_assets(depths_m, rng)
+
+    def failure_matrix(self, depths):
+        self.matrix_rows += depths.shape[0]
+        return super().failure_matrix(depths)
 
 
 class UncachedCountingFragility(CountingFragility):
@@ -49,8 +56,8 @@ def _profiles(matrix):
 
 
 def test_run_matrix_evaluates_fragility_once_per_realization(small_ensemble):
-    # batch=False: this tests the per-realization memo specifically (the
-    # batched executor has its own failure-matrix cache).
+    # batch=False: the scalar adapter reads every cell's failed sets from
+    # the one memoized failure matrix, as the batched executor does.
     fragility = CountingFragility()
     analysis = CompoundThreatAnalysis(
         small_ensemble, fragility=fragility, batch=False
@@ -58,7 +65,8 @@ def test_run_matrix_evaluates_fragility_once_per_realization(small_ensemble):
     analysis.run_matrix(
         list(PAPER_CONFIGURATIONS), PLACEMENT_WAIAU, list(PAPER_SCENARIOS)
     )
-    assert fragility.failed_assets_calls == len(small_ensemble)
+    assert fragility.matrix_rows == len(small_ensemble)
+    assert fragility.failed_assets_calls == 0
 
 
 def test_unmemoized_pays_the_full_matrix_cost(small_ensemble):

@@ -8,7 +8,7 @@ realization, column-sliced per stage in chain order) replays exactly the
 scalar loop's stream.  Hypothesis drives LogisticFragility chains and
 the randomized ProbabilisticAttacker across seeds, realization counts,
 steepnesses, and budgets, demanding *bitwise* identity with the
-per-realization oracle; the regression tests at the bottom pin each
+scalar adapter (``batch=False``); the regression tests at the bottom pin each
 piece of the contract (draw shape, draw order, stream advancement)
 against hand-replayed generators, so a refactor that silently reorders
 or resizes draws fails here before it reaches an ensemble.
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.attacker import ProbabilisticAttacker
 from repro.core.chain import get_chain
 from repro.core.pipeline import CompoundThreatAnalysis
-from repro.core.states import STATE_ORDER
 from repro.core.threat import CyberAttackBudget, ThreatScenario
 from repro.geo import build_oahu_catalog
 from repro.hazards.fragility import LogisticFragility
@@ -129,12 +128,10 @@ def test_batched_codes_replay_the_scalar_stream(
     plan = analysis.chain.batch_plan(bctx)
     assert plan.ok and plan.total_draws > 0
     codes = analysis.chain.run_batch(bctx, np.random.default_rng(seed), plan)
-    scalar_rng = np.random.default_rng(seed)
-    expected = []
-    for realization in ensemble:
-        ctx.realization = realization
-        expected.append(analysis.chain.run_state(ctx, scalar_rng))
-    assert [STATE_ORDER[int(c)] for c in codes] == expected
+    expected = analysis.chain.run_scalar(
+        ctx, ensemble, np.random.default_rng(seed)
+    )
+    assert codes.tolist() == expected.tolist()
 
 
 def test_identity_holds_across_generation_worker_counts(tmp_path):

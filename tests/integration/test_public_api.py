@@ -15,7 +15,7 @@ class TestTopLevelExports:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_subpackage_exports_resolve(self):
         import repro.bft as bft
@@ -80,7 +80,7 @@ class TestCliEntryPoint:
 
         parser = build_parser()
         subcommands = {
-            "ensemble", "run", "analyze", "figures", "siting",
+            "ensemble", "run", "figures", "siting",
             "bft-demo", "grid-impact", "timeline", "earthquake",
         }
         actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]

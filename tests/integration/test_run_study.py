@@ -206,11 +206,11 @@ class TestManifestTelemetry:
         cells = len(PAPER_SCENARIOS) * len(PAPER_CONFIGURATIONS)
         assert counters["pipeline.realizations"] == cells * N
         # The default executor is the fused batched one: every cell runs
-        # batched and the per-realization fragility memo is never
-        # consulted (the batched path has its own failure-matrix cache).
+        # batched, and the whole study pays one fragility pass (one
+        # failure-matrix miss, every other cell a hit).
         assert counters["pipeline.batched_runs"] == cells
-        assert "pipeline.failed_cache.miss" not in counters
-        assert "pipeline.failed_cache.hit" not in counters
+        assert counters["pipeline.matrix_cache.miss"] == 1
+        assert counters["pipeline.matrix_cache.hit"] == cells - 1
 
     def test_manifest_counts_runtime_work_when_generating(self):
         result = run_study(

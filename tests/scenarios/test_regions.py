@@ -81,37 +81,9 @@ class TestHazardProtocol:
 
 
 class TestGeoOahuDeprecationShim:
-    def test_import_warns_and_forwards(self):
-        import repro.geo.oahu as shim
-        from repro.geo import _oahu_data
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = shim.build_oahu_region
-        assert value is _oahu_data.build_oahu_region
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        message = str(caught[0].message)
-        assert "2.0.0" in message
-        assert 'get_region("oahu")' in message
-
-    def test_every_forwarded_name_resolves(self):
-        import repro.geo.oahu as shim
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in shim.__all__:
-                assert getattr(shim, name) is not None
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.geo.oahu as shim
-
-        with pytest.raises(AttributeError):
-            shim.not_a_real_name
-
     def test_package_surface_stays_warning_free(self):
-        """`from repro.geo import ...` must not trip the shim (chaos CI
-        runs with -W error)."""
+        """`from repro.geo import ...` stays warning-free (chaos CI runs
+        with -W error)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             from repro.geo import HONOLULU_CC, build_oahu_catalog  # noqa: F401

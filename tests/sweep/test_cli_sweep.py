@@ -100,13 +100,3 @@ def test_sweep_manifest_out(tmp_path, capsys):
     code, _, _ = run_cli(BASE_ARGS + ["--sweep-manifest-out", str(path)], capsys)
     assert code == 0
     assert json.loads(path.read_text())["kind"] == "repro.sweep_manifest"
-
-
-def test_analyze_alias_names_removal_version(capsys):
-    code, out, err = run_cli(
-        ["analyze", "--config", "2", "--scenario", "hurricane", "--realizations", "20"],
-        capsys,
-    )
-    assert code == 0
-    assert "deprecated alias" in err
-    assert "2.0.0" in err

@@ -123,8 +123,13 @@ def test_chain_axis_shares_the_ensemble_and_records_chains():
     assert comparison.rows
 
 
-def test_stochastic_chain_prefix_does_not_share_fragility_memos():
-    """Memo sharing is gated on the chain's deterministic hazard prefix."""
+def test_stochastic_chain_prefix_shares_one_failure_matrix():
+    """One fragility pass per (ensemble group, model), stochastic chains too.
+
+    The failure matrix is a pure function of the shared depth grid and
+    the model, so even a scalar-only chain with a stochastic stage ahead
+    of the hazard reads its failed sets from the group's one memo.
+    """
     from repro.core.chain import CHAIN_PAPER, HazardImpactStage, ThreatChain
 
     class _CoinflipStage:
@@ -137,7 +142,6 @@ def test_stochastic_chain_prefix_does_not_share_fragility_memos():
     stochastic = ThreatChain(
         "stochastic-prefix", (_CoinflipStage(), *CHAIN_PAPER.stages)
     )
-    assert not stochastic.hazard_prefix_deterministic()
     base = StudyConfig(n_realizations=25, configurations=("2",))
     grid = [
         base.replace(scenarios=("hurricane",), chain=stochastic),
@@ -146,9 +150,10 @@ def test_stochastic_chain_prefix_does_not_share_fragility_memos():
     result = run_sweep(grid)
     c = counters(result)
     assert c["sweep.ensemble.generated"] == 1
-    # Without sharing, each study runs its own fragility pass (the paper
-    # chain would have shared the memo and shown 25 misses total).
-    assert c["pipeline.failed_cache.miss"] == 50
+    assert c["batch.fallback.reason.stage.coinflip"] == 2
+    # One group, one model: one miss; the second study's cell hits.
+    assert c["pipeline.matrix_cache.miss"] == 1
+    assert c["pipeline.matrix_cache.hit"] == 1
 
 
 def test_duplicate_studies_rejected():
