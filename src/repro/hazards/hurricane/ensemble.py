@@ -17,6 +17,13 @@ worker processes (``n_jobs``) with bit-identical output for any worker
 count -- including across worker retries, pool rebuilds, and checkpointed
 resumes -- and ensembles can round-trip through the on-disk cache
 (``cache_dir``, see :mod:`repro.io.ensemble_cache`) without drift.
+
+The realization pass has one kernel, :meth:`EnsembleGenerator.realize_block`:
+a block of realizations goes through track columns, the surge peak,
+per-row dropout and shoreline post-processing together, in cache-sized
+blocks of :attr:`EnsembleGenerator.block_rows` rows.  A row's bits do not
+depend on the block it sits in, so :meth:`EnsembleGenerator.realize` is
+the same kernel on a block of one row.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -35,8 +43,14 @@ from repro.geo.region import CoastalRegion
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.hazards.hurricane.inundation import ExtensionParams, InundationField, InundationMapper
 from repro.hazards.hurricane.mesh import build_coastal_mesh
-from repro.hazards.hurricane.surge import SurgeModel, SurgeModelParams
-from repro.hazards.hurricane.track import StormTrack, synthesize_linear_track
+from repro.hazards.hurricane.surge import SurgeModel, SurgeModelParams, block_rows
+from repro.hazards.hurricane.track import (
+    LEAD_HOURS,
+    TRAIL_HOURS,
+    StormTrack,
+    sample_times,
+    synthesize_linear_track,
+)
 
 if TYPE_CHECKING:  # runtime imports lazily inside generate() (no cycle)
     from repro.runtime.controller import RetryPolicy
@@ -236,8 +250,8 @@ class EnsembleGenerator:
     """Generates hurricane ensembles for a region + asset catalog.
 
     Construction builds the coastal mesh and the (mesh x asset) inundation
-    mapping once; each realization then costs one track sweep of the surge
-    solver plus a matrix-vector product.
+    mapping once; each realization then costs its share of a block surge
+    sweep plus one matrix-vector product.
     """
 
     region: CoastalRegion
@@ -317,16 +331,63 @@ class EnsembleGenerator:
             track_offset_km=offset,
         )
 
+    @property
+    def block_rows(self) -> int:
+        """Realizations per kernel block (cache-sized; see :func:`block_rows`)."""
+        n_times = len(sample_times(-LEAD_HOURS, TRAIL_HOURS, self.surge_params.time_step_h))
+        return block_rows(n_times, self.mesh_size)
+
+    def realize_block(
+        self,
+        indices: Sequence[int],
+        params: Sequence[StormParameters],
+        rngs: Sequence[np.random.Generator],
+        timer: dict[str, float] | None = None,
+    ) -> list[HurricaneRealization]:
+        """Run the surge + inundation pipeline for a block of parameter draws.
+
+        One kernel for the whole block: (R, T) track columns, the (R, T, N)
+        surge peak in cache-sized row blocks, each row's dropout drawn from
+        its own ``rngs[r]``, then shoreline smoothing and one inland
+        extension per row.  Row ``r`` is bitwise identical to
+        ``realize(indices[r], params[r], rngs[r])`` whatever block it sits
+        in.  ``timer``, when given, accumulates seconds under ``track``,
+        ``surge`` and ``inundation``.
+        """
+        if not len(indices) == len(params) == len(rngs):
+            raise HazardError(
+                f"block of {len(indices)} indices, {len(params)} parameter "
+                f"sets and {len(rngs)} rngs"
+            )
+        t0 = perf_counter()
+        name = self.scenario.name
+        columns = self._surge.track_columns(
+            [p.to_track(f"{name}-r{i}") for i, p in zip(indices, params)]
+        )
+        t1 = perf_counter()
+        _, observed, _ = self._surge.peak_block(columns, rngs)
+        t2 = perf_counter()
+        depths = self._mapper.depth_block(observed)
+        assets = self._mapper.asset_names
+        realizations = [
+            HurricaneRealization(
+                index=index,
+                params=p,
+                inundation=InundationField(depths_m=dict(zip(assets, row))),
+            )
+            for index, p, row in zip(indices, params, depths.tolist())
+        ]
+        if timer is not None:
+            t3 = perf_counter()
+            for stage, seconds in (
+                ("track", t1 - t0), ("surge", t2 - t1), ("inundation", t3 - t2)
+            ):
+                timer[stage] = timer.get(stage, 0.0) + seconds
+        return realizations
+
     def realize(self, index: int, params: StormParameters, rng: np.random.Generator) -> HurricaneRealization:
         """Run the surge + inundation pipeline for one parameter draw."""
-        track = params.to_track(f"{self.scenario.name}-r{index}")
-        surge = self._surge.run(track, rng)
-        depths = self._mapper.depths_from_wse(surge.peak_wse_m)
-        return HurricaneRealization(
-            index=index,
-            params=params,
-            inundation=InundationField(depths_m=depths),
-        )
+        return self.realize_block([index], [params], [rng])[0]
 
     def sample_all_parameters(self, count: int, seed: int) -> list[StormParameters]:
         """The serial parameter pass: every realization's storm parameters.

@@ -32,34 +32,62 @@ def smooth_shoreline(mesh: CoastalMesh, wse_m: np.ndarray, window: int = 2) -> n
     and each node is replaced by the mean of the non-zero readings in the
     ``2*window + 1`` node window centred on it (clipped to the segment).
     A window with no valid readings stays at zero.
+
+    ``wse_m`` is one realization's ``(n,)`` readings or an ``(R, n)``
+    block of them; each row is smoothed independently and bitwise
+    identically to smoothing it alone.
     """
     if window < 0:
         raise HazardError("smoothing window must be non-negative")
     values = np.asarray(wse_m, dtype=float)
-    if values.shape != (len(mesh),):
+    n = len(mesh)
+    if values.shape[-1:] != (n,) or values.ndim > 2:
         raise HazardError(
-            f"wse array has shape {values.shape}, expected ({len(mesh)},)"
+            f"wse array has shape {values.shape}, expected ({n},) or (R, {n})"
         )
-    smoothed = np.empty_like(values)
-    width = 2 * window + 1
-    for seg_slice in mesh.segment_slices().values():
-        seg = values[seg_slice]
-        # Zero-pad the segment so every node sees a full-width window; the
-        # pad entries are invalid (<= 0) so they drop out of both the sum
-        # and the count, reproducing the clipped-window mean exactly.
-        padded = np.zeros(len(seg) + 2 * window)
-        if window:
-            padded[window:-window] = seg
-        else:
-            padded[:] = seg
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-        valid = windows > 0.0
-        sums = np.where(valid, windows, 0.0).sum(axis=1)
-        counts = valid.sum(axis=1)
-        smoothed[seg_slice] = np.divide(
-            sums, counts, out=np.zeros(len(seg)), where=counts > 0
-        )
-    return smoothed
+    rows = values.reshape(-1, n)
+    # Lay the segments out with ``window`` zeros before, between and after
+    # them: every node then sees a full-width window whose entries beyond
+    # its segment are invalid (<= 0), so they drop out of both the sum and
+    # the count, reproducing the clipped-window mean exactly.
+    slices = list(mesh.segment_slices().values())
+    positions = np.concatenate(
+        [np.arange(s.start, s.stop) + window * (k + 1) for k, s in enumerate(slices)]
+    )
+    padded = np.zeros((rows.shape[0], n + window * (len(slices) + 1)))
+    padded[:, positions] = np.where(rows > 0.0, rows, 0.0)
+    valid = (padded > 0.0).astype(np.int64)
+    # 2*window + 1 shifted adds, left to right across each window: the
+    # same order as a left-to-right sum over the window's readings.
+    width = padded.shape[1] - 2 * window
+    sums = padded[:, 0:width].copy()
+    counts = valid[:, 0:width].copy()
+    for shift in range(1, 2 * window + 1):
+        sums += padded[:, shift:shift + width]
+        counts += valid[:, shift:shift + width]
+    centre = positions - window
+    sums = sums[:, centre]
+    counts = counts[:, centre]
+    smoothed = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return smoothed.reshape(values.shape)
+
+
+def smooth_shoreline_reference(
+    mesh: CoastalMesh, wse_m: np.ndarray, window: int = 2
+) -> np.ndarray:
+    """:func:`smooth_shoreline` by its definition, in plain Python.
+
+    Each node becomes the mean of the positive readings in its clipped
+    window, summed left to right.  Kept as the oracle the block kernel is
+    checked against bitwise.
+    """
+    out = [0.0] * len(wse_m)
+    for seg in mesh.segment_slices().values():
+        for i in range(seg.start, seg.stop):
+            lo, hi = max(seg.start, i - window), min(seg.stop, i + window + 1)
+            readings = [float(v) for v in wse_m[lo:hi] if v > 0.0]
+            out[i] = sum(readings) / len(readings) if readings else 0.0
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -190,11 +218,22 @@ class InundationMapper:
             weights[i] = w * attenuation
         return weights
 
+    def depth_block(self, wse_rows: np.ndarray) -> np.ndarray:
+        """(R, n_assets) inundation depths from an (R, n_nodes) WSE block.
+
+        Smoothing runs on the whole block; the inland extension is one
+        matrix-vector product per row (``W @ row``), because a block
+        matrix product may sum in a different order and move the last bit.
+        """
+        smoothed = smooth_shoreline(self.mesh, wse_rows, self.params.smoothing_window)
+        extended = np.empty((len(smoothed), len(self.asset_names)))
+        for row, out in zip(smoothed, extended):
+            out[:] = self._weights @ row
+        return np.maximum(0.0, extended - self._elevations)
+
     def depths_from_wse(self, wse_m: np.ndarray) -> dict[str, float]:
         """Per-asset inundation depth (m) from raw shoreline WSE readings."""
-        smoothed = smooth_shoreline(self.mesh, wse_m, self.params.smoothing_window)
-        extended = self._weights @ smoothed
-        depths = np.maximum(0.0, extended - self._elevations)
+        depths = self.depth_block(np.asarray(wse_m, dtype=float)[None, :])[0]
         return dict(zip(self.asset_names, depths.tolist()))
 
     def wse_at_asset(self, wse_m: np.ndarray, asset: AssetRecord) -> float:

@@ -21,35 +21,45 @@ several locations") by dropping a random subset of node readings to zero;
 the shoreline-averaging step in :mod:`repro.hazards.hurricane.inundation`
 repairs this exactly as the paper's post-processing does.
 
-Two kernels produce the sweep.  :meth:`SurgeModel.run` evaluates the whole
-(timestep x node) grid in one batched numpy computation: per-timestep track
-states and wind-field scalars are precomputed once (cheap Python loop over
-~30 timesteps), the setup + inverse-barometer physics is evaluated as 2-D
-array ops, and the peak is an ``np.max``/``argmax`` reduction over the time
-axis.  :meth:`SurgeModel.run_reference` keeps the original per-timestep
-Python loop; the two are bitwise identical (asserted by tests), so the
-reference path serves as both a correctness oracle and the baseline for
-the ensemble-throughput benchmark.
+One block kernel produces the sweep.  :meth:`SurgeModel.track_columns`
+turns a block of R tracks into (R x timestep) columns of storm scalars --
+the per-segment great-circle speed and bearing are computed once per
+track segment with :mod:`math`, and the interpolation, projection and
+intensity arithmetic is vectorized -- and :meth:`SurgeModel.peak_block`
+evaluates the setup + inverse-barometer physics on the (R x timestep x
+node) grid in cache-sized row blocks (:func:`block_rows`), with in-place
+ufuncs in the reference operand order, reducing to the peak with a max
+over time.  :meth:`SurgeModel.run` is that kernel on a block of one row.
+:meth:`SurgeModel.run_reference` keeps the original per-timestep Python
+loop over :meth:`SurgeModel._wse_at_time`; the two are bitwise identical
+(asserted by tests), so the reference path serves as both a correctness
+oracle and the baseline for the ensemble-throughput benchmark.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import HazardError
-from repro.geo.coords import haversine_km, initial_bearing_deg, unit_vector_deg
+from repro.geo.coords import (
+    EARTH_RADIUS_KM,
+    haversine_km,
+    initial_bearing_deg,
+    unit_vector_deg,
+)
 from repro.hazards.hurricane.mesh import CoastalMesh
 from repro.hazards.hurricane.track import AMBIENT_PRESSURE_MB, StormTrack
 from repro.hazards.hurricane.wind import (
     AIR_DENSITY_KG_M3,
     ASYMMETRY_FACTOR,
+    EARTH_ROTATION_RAD_S,
     INFLOW_ANGLE_DEG,
     SURFACE_WIND_FACTOR,
     HollandWindField,
-    coriolis_parameter,
 )
 
 
@@ -101,6 +111,46 @@ class SurgeResult:
 #: Holland B exponent used by the surge sweep (the wind-field default).
 _HOLLAND_B: float = HollandWindField.__dataclass_fields__["holland_b"].default
 
+#: ``math.radians``' own factor, so ``x * _DEG_TO_RAD == math.radians(x)``.
+_DEG_TO_RAD = math.pi / 180.0
+_COS_INFLOW = math.cos(math.radians(INFLOW_ANGLE_DEG))
+_SIN_INFLOW = math.sin(math.radians(INFLOW_ANGLE_DEG))
+
+#: Target size of one float64 (rows x timesteps x nodes) temporary of the
+#: block kernel.  The kernel is memory-bound: at ~256 KB its dozen live
+#: buffers stay in cache (docs/performance.md, "Block generation").
+BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(n_times: int, n_nodes: int) -> int:
+    """Kernel block height: rows whose (rows, T, N) grid is ~BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * n_times * n_nodes))
+
+
+@dataclass(frozen=True)
+class TrackColumns:
+    """A block of tracks as (R, T) columns of per-timestep storm scalars."""
+
+    times: list[float]
+    cx: np.ndarray  # storm center in the mesh projection (km)
+    cy: np.ndarray
+    pc: np.ndarray  # central pressure (mb)
+    deficit_mb: np.ndarray
+    deficit_pa: np.ndarray
+    rmax_m: np.ndarray
+    f: np.ndarray  # |Coriolis parameter|
+    vmax: np.ndarray  # Holland maximum gradient wind, floored at 1e-9
+    drift_x: np.ndarray  # ASYMMETRY_FACTOR * motion (m/s) * motion unit vector
+    drift_y: np.ndarray
+
+    def block(self, rows: slice) -> dict[str, np.ndarray]:
+        """Rows ``rows`` of every column as (r, T, 1) broadcast columns."""
+        return {
+            f.name: getattr(self, f.name)[rows, :, None]
+            for f in fields(self)
+            if f.name != "times"
+        }
+
 
 class SurgeModel:
     """Computes peak WSE along a coastal mesh for a storm track."""
@@ -111,6 +161,12 @@ class SurgeModel:
         self._xy = mesh.xy_km
         self._normals = mesh.normals
         self._shelf = mesh.shelf_factors
+        # Contiguous per-node operands of the block kernel.
+        self._node_x = np.ascontiguousarray(self._xy[:, 0])
+        self._node_y = np.ascontiguousarray(self._xy[:, 1])
+        self._normal_x = np.ascontiguousarray(self._normals[:, 0])
+        self._normal_y = np.ascontiguousarray(self._normals[:, 1])
+        self._setup_per_shelf = self.params.setup_coefficient * self._shelf
 
     def _wse_at_time(self, track: StormTrack, time_h: float) -> np.ndarray:
         state = track.state_at(time_h)
@@ -134,105 +190,221 @@ class SurgeModel:
         barometer = self.params.inverse_barometer_m_per_mb * deficit_mb
         return setup + barometer + self.params.sea_level_offset_m
 
-    def _track_scalars(self, track: StormTrack, times: list[float]) -> dict[str, np.ndarray]:
-        """Per-timestep storm scalars, mirroring the reference arithmetic.
+    def track_columns(self, tracks: Sequence[StormTrack]) -> TrackColumns:
+        """The block's per-timestep storm scalars as (R, T) columns.
 
         Evaluates the same expressions :meth:`StormTrack.state_at`,
         :meth:`StormTrack.heading_deg_at`, :meth:`StormTrack.forward_speed_kmh_at`,
         :meth:`LocalProjection.to_xy`, and the wind field's scalar profile use
         (same operations, same order) without constructing the intermediate
-        ``TrackPoint``/``HollandWindField`` objects, so the batched kernel is
-        bitwise identical to the per-timestep reference sweep.
+        ``TrackPoint``/``HollandWindField`` objects, so the kernel is bitwise
+        identical to the per-timestep reference sweep.  The great-circle
+        speed and bearing are per-segment constants, computed once per track
+        segment with :mod:`math`; the Coriolis column keeps ``math.sin``.
+        The tracks must share their point times (every synthesized track of
+        an ensemble does), so one bracketing serves the whole block.
         """
-        origin = self.mesh.projection.origin
-        kx = math.cos(math.radians(origin.lat))
-        from repro.geo.coords import EARTH_RADIUS_KM
-
-        columns = {
-            name: np.empty(len(times))
-            for name in ("cx", "cy", "pc", "deficit", "rmax_m", "f", "vmax", "motion_ms", "mx", "my")
-        }
-        pairs = list(zip(track.points, track.points[1:]))
-        for j, t in enumerate(times):
-            for a, b in pairs:
-                if a.time_h <= t <= b.time_h:
+        if not tracks:
+            raise HazardError("a kernel block needs at least one track")
+        point_times = [p.time_h for p in tracks[0].points]
+        if any([p.time_h for p in t.points] != point_times for t in tracks[1:]):
+            raise HazardError("tracks in one kernel block must share their point times")
+        times = tracks[0].times(self.params.time_step_h)
+        # Bracket each sample time as StormTrack._bracket does: the first
+        # segment (a, b) with a <= t <= b, at fraction (t - a) / (b - a).
+        segment: list[int] = []
+        fraction: list[float] = []
+        for t in times:
+            for k, (a, b) in enumerate(zip(point_times, point_times[1:])):
+                if a <= t <= b:
                     break
             else:  # pragma: no cover - track.times() stays inside the track
                 raise HazardError(f"time {t} h not bracketed")
-            frac = (t - a.time_h) / (b.time_h - a.time_h)
-            lat = a.center.lat + frac * (b.center.lat - a.center.lat)
-            lon = a.center.lon + frac * (b.center.lon - a.center.lon)
-            pressure = a.central_pressure_mb + frac * (
-                b.central_pressure_mb - a.central_pressure_mb
-            )
-            rmw_km = a.rmw_km + frac * (b.rmw_km - a.rmw_km)
-            motion_kmh = haversine_km(a.center, b.center) / (b.time_h - a.time_h)
-            mx, my = unit_vector_deg(initial_bearing_deg(a.center, b.center))
+            segment.append(k)
+            fraction.append((t - a) / (b - a))
+        seg = np.array(segment)
+        frac = np.array(fraction)
 
-            deficit_mb = AMBIENT_PRESSURE_MB - pressure
-            deficit_pa = deficit_mb * 100.0
-            columns["cx"][j] = math.radians(lon - origin.lon) * EARTH_RADIUS_KM * kx
-            columns["cy"][j] = math.radians(lat - origin.lat) * EARTH_RADIUS_KM
-            columns["pc"][j] = pressure
-            columns["deficit"][j] = deficit_mb
-            columns["rmax_m"][j] = rmw_km * 1000.0
-            columns["f"][j] = abs(coriolis_parameter(lat))
-            columns["vmax"][j] = max(
-                math.sqrt(_HOLLAND_B * deficit_pa / (AIR_DENSITY_KG_M3 * math.e)), 1e-9
-            )
-            columns["motion_ms"][j] = motion_kmh / 3.6 if motion_kmh > 0.0 else 0.0
-            columns["mx"][j] = mx
-            columns["my"][j] = my
-        return columns
+        def points(attr) -> np.ndarray:
+            return np.array([[attr(p) for p in t.points] for t in tracks])
 
-    def _wse_grid(self, track: StormTrack, times: list[float]) -> np.ndarray:
-        """The full (timestep x node) WSE grid in one batched computation.
+        def interpolate(values: np.ndarray) -> np.ndarray:
+            start = values[:, seg]
+            return start + frac * (values[:, seg + 1] - start)
 
-        Every elementwise expression below mirrors :meth:`_wse_at_time` /
+        n_segments = len(point_times) - 1
+        motion_ms = np.empty((len(tracks), n_segments))
+        mx = np.empty_like(motion_ms)
+        my = np.empty_like(motion_ms)
+        for r, track in enumerate(tracks):
+            for k, (a, b) in enumerate(zip(track.points, track.points[1:])):
+                motion_kmh = haversine_km(a.center, b.center) / (b.time_h - a.time_h)
+                motion_ms[r, k] = motion_kmh / 3.6 if motion_kmh > 0.0 else 0.0
+                mx[r, k], my[r, k] = unit_vector_deg(
+                    initial_bearing_deg(a.center, b.center)
+                )
+
+        lat = interpolate(points(lambda p: p.center.lat))
+        lon = interpolate(points(lambda p: p.center.lon))
+        pressure = interpolate(points(lambda p: p.central_pressure_mb))
+        rmw_km = interpolate(points(lambda p: p.rmw_km))
+        origin = self.mesh.projection.origin
+        kx = math.cos(math.radians(origin.lat))
+        deficit_mb = AMBIENT_PRESSURE_MB - pressure
+        deficit_pa = deficit_mb * 100.0
+        # coriolis_parameter(lat) per element, with math.sin; the radians
+        # factor and the scaling are exact elementwise ops.
+        sines = np.fromiter(
+            map(math.sin, (lat * _DEG_TO_RAD).ravel().tolist()),
+            dtype=float,
+            count=lat.size,
+        ).reshape(lat.shape)
+        motion = motion_ms[:, seg]
+        return TrackColumns(
+            times=times,
+            cx=(lon - origin.lon) * _DEG_TO_RAD * EARTH_RADIUS_KM * kx,
+            cy=(lat - origin.lat) * _DEG_TO_RAD * EARTH_RADIUS_KM,
+            pc=pressure,
+            deficit_mb=deficit_mb,
+            deficit_pa=deficit_pa,
+            rmax_m=rmw_km * 1000.0,
+            f=np.abs(2.0 * EARTH_ROTATION_RAD_S * sines),
+            vmax=np.maximum(
+                np.sqrt(_HOLLAND_B * deficit_pa / (AIR_DENSITY_KG_M3 * math.e)), 1e-9
+            ),
+            drift_x=ASYMMETRY_FACTOR * motion * mx[:, seg],
+            drift_y=ASYMMETRY_FACTOR * motion * my[:, seg],
+        )
+
+    def _wse_block(self, c: dict[str, np.ndarray]) -> np.ndarray:
+        """The (R, T, N) WSE grid of one row block, from (R, T, 1) columns.
+
+        Every elementwise expression mirrors :meth:`_wse_at_time` /
         :meth:`HollandWindField.wind_vectors` exactly (same ufuncs, same
-        operand order) with the per-timestep scalars broadcast as column
-        vectors, so each grid row is bitwise equal to the reference sweep's
-        per-timestep output.
+        operand order), evaluated in place into a handful of buffers;
+        ``exp(-ratio_b)`` feeds both the gradient wind and the pressure
+        profile, so it is computed once.
         """
-        s = self._track_scalars(track, times)
-        col = {k: v[:, None] for k, v in s.items()}  # (T, 1) broadcast columns
-
-        dx = self._xy[:, 0][None, :] - col["cx"]
-        dy = self._xy[:, 1][None, :] - col["cy"]
+        dx = np.subtract(self._node_x, c["cx"])
+        dy = np.subtract(self._node_y, c["cy"])
         radius_km = np.hypot(dx, dy)
 
-        # Holland gradient wind (wind.gradient_wind_ms, batched over time).
-        r_m = np.maximum(radius_km * 1000.0, 1.0)
-        ratio_b = (col["rmax_m"] / r_m) ** _HOLLAND_B
-        rf_half = r_m * col["f"] / 2.0
-        term = ratio_b * _HOLLAND_B * (col["deficit"] * 100.0) / AIR_DENSITY_KG_M3 * np.exp(-ratio_b)
-        gradient = np.sqrt(term + rf_half**2) - rf_half
+        # Holland gradient wind (wind.gradient_wind_ms).
+        r_m = np.multiply(radius_km, 1000.0)
+        np.maximum(r_m, 1.0, out=r_m)
+        ratio_b = np.divide(c["rmax_m"], r_m)
+        np.power(ratio_b, _HOLLAND_B, out=ratio_b)
+        decay_exp = np.negative(ratio_b)
+        np.exp(decay_exp, out=decay_exp)
+        rf_half = np.multiply(r_m, c["f"], out=r_m)
+        rf_half /= 2.0
+        term = np.multiply(ratio_b, _HOLLAND_B, out=ratio_b)
+        term *= c["deficit_pa"]
+        term /= AIR_DENSITY_KG_M3
+        term *= decay_exp
+        buf = np.multiply(rf_half, rf_half)
+        term += buf
+        gradient = np.sqrt(term, out=term)
+        gradient -= rf_half
 
-        # Surface wind vectors (wind.wind_vectors, batched over time).
-        speed = SURFACE_WIND_FACTOR * gradient
-        safe_r = np.maximum(radius_km, 1e-6)
-        ux = dx / safe_r
-        uy = dy / safe_r
-        inflow = math.radians(INFLOW_ANGLE_DEG)
-        cos_a, sin_a = math.cos(inflow), math.sin(inflow)
-        wind_x = (cos_a * (-uy) + sin_a * (-ux)) * speed
-        wind_y = (cos_a * ux + sin_a * (-uy)) * speed
-        decay = gradient / col["vmax"]
-        wind_x = wind_x + ASYMMETRY_FACTOR * col["motion_ms"] * col["mx"] * decay
-        wind_y = wind_y + ASYMMETRY_FACTOR * col["motion_ms"] * col["my"] * decay
+        # Surface wind vectors (wind.wind_vectors).
+        speed = np.multiply(SURFACE_WIND_FACTOR, gradient, out=rf_half)
+        safe_r = np.maximum(radius_km, 1e-6, out=radius_km)
+        ux = np.divide(dx, safe_r, out=dx)
+        uy = np.divide(dy, safe_r, out=dy)
+        wind_x = np.negative(uy, out=safe_r)
+        wind_x *= _COS_INFLOW
+        np.negative(ux, out=buf)
+        buf *= _SIN_INFLOW
+        wind_x += buf
+        wind_x *= speed
+        wind_y = np.multiply(_COS_INFLOW, ux, out=buf)
+        np.negative(uy, out=ux)
+        ux *= _SIN_INFLOW
+        wind_y += ux
+        wind_y *= speed
+        decay = np.divide(gradient, c["vmax"], out=gradient)
+        drift = np.multiply(c["drift_x"], decay, out=speed)
+        wind_x += drift
+        np.multiply(c["drift_y"], decay, out=drift)
+        wind_y += drift
 
         # Wind setup against the onshore normal (surge._wse_at_time).
-        onshore = wind_x * self._normals[:, 0] + wind_y * self._normals[:, 1]
-        onshore = np.maximum(onshore, 0.0)
-        setup = self.params.setup_coefficient * self._shelf * onshore * onshore
+        onshore = np.multiply(wind_x, self._normal_x, out=wind_x)
+        wind_y *= self._normal_y
+        onshore += wind_y
+        np.maximum(onshore, 0.0, out=onshore)
+        setup = np.multiply(self._setup_per_shelf, onshore, out=wind_y)
+        setup *= onshore
         setup *= 1.0 + self.params.wave_setup_fraction
 
-        # Inverse barometer from the Holland pressure profile (wind.pressure_mb);
-        # the profile's (Rmax/r)^B is the same ratio_b computed above.
-        local_pressure = col["pc"] + col["deficit"] * np.exp(-ratio_b)
-        deficit_mb = np.maximum(0.0, 1013.0 - local_pressure)
-        barometer = self.params.inverse_barometer_m_per_mb * deficit_mb
-        return setup + barometer + self.params.sea_level_offset_m
+        # Inverse barometer from the Holland pressure profile (wind.pressure_mb).
+        local_pressure = np.multiply(c["deficit_mb"], decay_exp, out=decay_exp)
+        local_pressure += c["pc"]
+        deficit_mb = np.subtract(1013.0, local_pressure, out=local_pressure)
+        np.maximum(0.0, deficit_mb, out=deficit_mb)
+        deficit_mb *= self.params.inverse_barometer_m_per_mb
+        setup += deficit_mb
+        setup += self.params.sea_level_offset_m
+        return setup
+
+    def peak_block(
+        self,
+        columns: TrackColumns,
+        rngs: Sequence[np.random.Generator | None],
+        peak_times: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Peak WSE per node for every track of ``columns``.
+
+        Returns ``(raw_peak, observed_peak, peak_time)``, each (R, N);
+        ``peak_time`` is computed only when ``peak_times`` is set and is
+        ``None`` otherwise.  The grid is evaluated in row blocks of
+        :func:`block_rows`, so one temporary stays cache-sized whatever R
+        is.  Row ``r``'s dropout draws come from ``rngs[r]`` alone, one
+        row at a time in order (``None`` disables dropout for that row).
+        """
+        n_rows = len(columns.pc)
+        if len(rngs) != n_rows:
+            raise HazardError(f"{len(rngs)} rngs for {n_rows} tracks")
+        times = np.asarray(columns.times)
+        peak = np.empty((n_rows, len(self.mesh)))
+        peak_time = np.empty_like(peak) if peak_times else None
+        step = block_rows(len(times), len(self.mesh))
+        for start in range(0, n_rows, step):
+            rows = slice(start, start + step)
+            grid = self._wse_block(columns.block(rows))
+            raw_max = grid.max(axis=1)
+            # The reference loop starts its running peak at 0, so sub-zero
+            # WSE never registers and the peak time stays at the sweep start.
+            positive = raw_max > 0.0
+            peak[rows] = np.where(positive, raw_max, 0.0)
+            if peak_time is not None:
+                first_idx = grid.argmax(axis=1)
+                peak_time[rows] = np.where(positive, times[first_idx], times[0])
+        observed = peak.copy()
+        if self.params.dropout_probability > 0.0:
+            for row, rng in zip(observed, rngs):
+                if rng is not None:
+                    row[rng.random(len(row)) < self.params.dropout_probability] = 0.0
+        return peak, observed, peak_time
+
+    def run(self, track: StormTrack, rng: np.random.Generator | None = None) -> SurgeResult:
+        """Sweep the track and return peak WSE per node (block kernel, R = 1).
+
+        ``rng`` drives the coarse-mesh dropout artifact; pass ``None`` to
+        disable dropout (raw physics only).  Bitwise identical to
+        :meth:`run_reference`.
+        """
+        peak, observed, peak_time = self.peak_block(
+            self.track_columns([track]), [rng], peak_times=True
+        )
+        assert peak_time is not None
+        return SurgeResult(
+            mesh=self.mesh,
+            raw_peak_wse_m=peak[0],
+            peak_wse_m=observed[0],
+            peak_time_h=peak_time[0],
+        )
 
     def _apply_dropout(
         self, peak: np.ndarray, rng: np.random.Generator | None
@@ -242,29 +414,6 @@ class SurgeModel:
             dropped = rng.random(len(peak)) < self.params.dropout_probability
             observed = np.where(dropped, 0.0, observed)
         return observed
-
-    def run(self, track: StormTrack, rng: np.random.Generator | None = None) -> SurgeResult:
-        """Sweep the track and return peak WSE per node (batched kernel).
-
-        ``rng`` drives the coarse-mesh dropout artifact; pass ``None`` to
-        disable dropout (raw physics only).  Bitwise identical to
-        :meth:`run_reference`.
-        """
-        times = track.times(self.params.time_step_h)
-        grid = self._wse_grid(track, times)
-        raw_max = grid.max(axis=0)
-        first_idx = grid.argmax(axis=0)
-        # The reference loop starts its running peak at 0, so sub-zero WSE
-        # never registers and the peak time stays at the sweep start.
-        positive = raw_max > 0.0
-        peak = np.where(positive, raw_max, 0.0)
-        peak_time = np.where(positive, np.asarray(times)[first_idx], times[0])
-        return SurgeResult(
-            mesh=self.mesh,
-            raw_peak_wse_m=peak,
-            peak_wse_m=self._apply_dropout(peak, rng),
-            peak_time_h=peak_time,
-        )
 
     def run_reference(
         self, track: StormTrack, rng: np.random.Generator | None = None

@@ -17,6 +17,10 @@ from repro.geo.coords import GeoPoint, destination_point, haversine_km, initial_
 
 AMBIENT_PRESSURE_MB = 1013.0
 
+#: Default hours a synthesized track spans before and after landfall.
+LEAD_HOURS = 18.0
+TRAIL_HOURS = 12.0
+
 # Saffir-Simpson scale lower bounds on 1-minute sustained wind (m/s).
 _SAFFIR_SIMPSON_BOUNDS = [(5, 70.0), (4, 58.0), (3, 50.0), (2, 43.0), (1, 33.0)]
 
@@ -116,15 +120,20 @@ class StormTrack:
 
     def times(self, step_h: float) -> list[float]:
         """Sample times covering the track at the given step."""
-        if step_h <= 0.0:
-            raise HazardError("time step must be positive")
-        out = []
-        t = self.start_time_h
-        while t < self.end_time_h:
-            out.append(t)
-            t += step_h
-        out.append(self.end_time_h)
-        return out
+        return sample_times(self.start_time_h, self.end_time_h, step_h)
+
+
+def sample_times(start_h: float, end_h: float, step_h: float) -> list[float]:
+    """Times from ``start_h`` in steps of ``step_h``, closed by ``end_h``."""
+    if step_h <= 0.0:
+        raise HazardError("time step must be positive")
+    out = []
+    t = start_h
+    while t < end_h:
+        out.append(t)
+        t += step_h
+    out.append(end_h)
+    return out
 
 
 def synthesize_linear_track(
@@ -134,8 +143,8 @@ def synthesize_linear_track(
     forward_speed_kmh: float,
     central_pressure_mb: float,
     rmw_km: float,
-    lead_hours: float = 18.0,
-    trail_hours: float = 12.0,
+    lead_hours: float = LEAD_HOURS,
+    trail_hours: float = TRAIL_HOURS,
 ) -> StormTrack:
     """A constant-speed, constant-intensity straight-line track.
 

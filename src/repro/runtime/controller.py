@@ -1,13 +1,16 @@
 """The fault-tolerant run controller for the parallel realization pass.
 
 :class:`RunController` owns what used to be an unsupervised
-``ProcessPoolExecutor.map``: it submits one task per realization, retries
-retryable failures with capped exponential backoff, enforces a per-task
-timeout on hung workers, survives a collapsed pool
-(``BrokenProcessPool`` after a worker is killed), validates every
-returned payload, and streams completed realizations into a
-:class:`~repro.runtime.checkpoint.CheckpointStore` so an interrupted run
-resumes from its shards to a bit-identical ensemble.
+``ProcessPoolExecutor.map``.  In process (``n_jobs == 1``) it runs the
+pending realizations through the generator's block kernel
+(``realize_block``), ``block_rows`` at a time; pooled, it submits one
+task per realization.  Either way it retries retryable failures with
+capped exponential backoff, charging each to the realization that
+raised it, enforces a per-task timeout on hung workers, survives a
+collapsed pool (``BrokenProcessPool`` after a worker is killed),
+validates every returned payload, and streams completed realizations
+into a :class:`~repro.runtime.checkpoint.CheckpointStore` so an
+interrupted run resumes from its shards to a bit-identical ensemble.
 
 Failure taxonomy (see :mod:`repro.errors`):
 
@@ -29,9 +32,10 @@ resubmitted without penalty.
 
 Determinism: realization ``i`` consumes only the serial parameter pass's
 ``params[i]`` and a generator freshly derived from
-``SeedSequence(seed).spawn(count)[i]`` at every (re)submission, so
-retries, worker counts, pool rebuilds, and resume all produce the same
-bits.
+``SeedSequence(seed).spawn(count)[i]`` at every (re)submission, and the
+block kernel's rows do not depend on their block, so retries, block
+boundaries, worker counts, pool rebuilds, and resume all produce the
+same bits.
 
 Transport: pooled runs default to the *in-place* depth transport -- a
 parent-owned shared-memory board
@@ -332,34 +336,74 @@ class RunController:
     # Inline (n_jobs == 1) execution
     # ------------------------------------------------------------------
     def _run_inline(self, pending, params, seqs, results) -> None:
-        observed = self._obs.enabled
-        for index in pending:
-            while True:
-                attempt = self._attempt_of(index)
-                rng = np.random.default_rng(seqs[index])
-                try:
-                    started = time.perf_counter() if observed else 0.0
-                    if self.faults is not None:
-                        self.faults.apply_before(index, attempt, inline=True)
-                    realization = self.generator.realize(index, params[index], rng)
-                    if self.faults is not None:
-                        realization = self.faults.mangle_result(
-                            index, attempt, realization
+        """Run the pending realizations in process, one kernel block at a time.
+
+        With an observer enabled, the generator's per-stage timer becomes
+        one aggregate ``ensemble.<stage>`` child span of the realization
+        pass per stage (track, surge, inundation).
+        """
+        timer: dict[str, float] | None = {} if self._obs.enabled else None
+        rows = self.generator.block_rows
+        for start in range(0, len(pending), rows):
+            self._run_block(pending[start:start + rows], params, seqs, results, timer)
+        if timer is not None:
+            for stage, seconds in timer.items():
+                self._obs.record_span(
+                    f"ensemble.{stage}", seconds, realizations=len(pending)
+                )
+
+    def _run_block(self, block, params, seqs, results, timer) -> None:
+        """Settle one block, charging each failure to the row that raised it.
+
+        A pre-task fault aborts the pass before the kernel runs; a result
+        that fails validation leaves the rows before it recorded.  Either
+        way the failing row is charged once and the unsettled rows rerun
+        as a block, each with a freshly derived rng, so retries cannot
+        change the bits.
+        """
+        faults = self.faults
+        todo = list(block)
+        while todo:
+            started = time.perf_counter() if timer is not None else 0.0
+            settled = 0
+            index = todo[0]
+            error = None
+            try:
+                if faults is not None:
+                    for index in todo:
+                        faults.apply_before(index, self._attempt_of(index), inline=True)
+                    index = todo[0]
+                realizations = self.generator.realize_block(
+                    todo,
+                    [params[i] for i in todo],
+                    [np.random.default_rng(seqs[i]) for i in todo],
+                    timer,
+                )
+                if len(realizations) != len(todo):
+                    raise CorruptResultError(
+                        f"block of {len(todo)} realizations returned "
+                        f"{len(realizations)}"
+                    )
+                for index, realization in zip(todo, realizations):
+                    if faults is not None:
+                        realization = faults.mangle_result(
+                            index, self._attempt_of(index), realization
                         )
                     self._record(results, self._validate(index, realization))
-                    if observed:
-                        self._obs.observe(
-                            "runtime.realization_s",
-                            time.perf_counter() - started,
-                        )
-                    break
-                except Exception as exc:
-                    retryable = self._classify(exc)
-                    if retryable is None:
-                        self._flush()
-                        raise
-                    self._charge(index, retryable)
-                    time.sleep(self.policy.backoff_s(self._attempt_of(index)))
+                    settled += 1
+            except Exception as exc:
+                error = self._classify(exc)
+                if error is None:
+                    self._flush()
+                    raise
+            if timer is not None and settled:
+                share = (time.perf_counter() - started) / len(todo)
+                for _ in range(settled):
+                    self._obs.observe("runtime.realization_s", share)
+            todo = todo[settled:]
+            if error is not None:
+                self._charge(index, error)
+                time.sleep(self.policy.backoff_s(self._attempt_of(index)))
 
     # ------------------------------------------------------------------
     # Pooled execution

@@ -10,8 +10,11 @@ Everything downstream is reused verbatim -- the fault-tolerant
 worker retry, bit-identical parallelism), the on-disk ensemble cache,
 and the sweep engine's shared-memory transport -- because the wrapper
 satisfies the exact generator contract those layers consume
-(``catalog``, ``scenario``, ``sample_all_parameters``, ``realize``,
-``cache_key``, ``generate``).
+(``catalog``, ``scenario``, ``sample_all_parameters``, ``block_rows``,
+``realize_block``, ``realize``, ``cache_key``, ``generate``).  The
+controller's in-process pass runs ``realize_block`` over blocks of
+``block_rows`` pending realizations, so adaptive rounds generate on the
+same block kernel; pooled workers call ``realize`` per realization.
 
 The wrapper's cache key folds the plan spec into the inner generator's
 content hash, so plan-sampled ensembles never collide with plain ones
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -88,6 +91,19 @@ class PlanSampledGenerator:
             self.inner.sample_parameters(rng, offset_km=float(offsets[i]))
             for i in range(count)
         ]
+
+    @property
+    def block_rows(self) -> int:
+        return self.inner.block_rows
+
+    def realize_block(
+        self,
+        indices: Sequence[int],
+        params: Sequence[StormParameters],
+        rngs: Sequence[np.random.Generator],
+        timer: dict[str, float] | None = None,
+    ) -> "list[HurricaneRealization]":
+        return self.inner.realize_block(indices, params, rngs, timer)
 
     def realize(
         self, index: int, params: StormParameters, rng: np.random.Generator

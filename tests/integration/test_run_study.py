@@ -226,6 +226,37 @@ class TestManifestTelemetry:
         hist = result.manifest["metrics"]["histograms"]["runtime.realization_s"]
         assert hist["count"] == 50
 
+    def test_manifest_splits_generation_into_hazard_stages(self, tmp_path):
+        result = run_study(
+            StudyConfig(
+                configurations=("2",),
+                scenarios=("hurricane",),
+                n_realizations=50,
+                seed=11,
+                trace_out=tmp_path / "trace.json",
+            )
+        )
+        stages = result.manifest["stages"]
+        hazard = ("ensemble.track", "ensemble.surge", "ensemble.inundation")
+        for name in hazard:
+            assert stages[name] > 0, name
+        assert sum(stages[name] for name in hazard) <= stages["ensemble.realization_pass"]
+
+        def find(span, name):
+            if span["name"] == name:
+                return span
+            for child in span.get("children", []):
+                found = find(child, name)
+                if found is not None:
+                    return found
+            return None
+
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        realization_pass = find(trace["spans"][0], "ensemble.realization_pass")
+        leaves = [c for c in realization_pass["children"] if c["name"] in hazard]
+        # One aggregate leaf per stage and pass, not one span per block.
+        assert sorted(c["name"] for c in leaves) == sorted(hazard)
+
     def test_prebuilt_ensemble_has_no_acquire_stage(self, small_ensemble):
         """A user-supplied ensemble skips the generation stage entirely --
         no zero-duration `ensemble.acquire` entry pads the manifest."""

@@ -115,10 +115,10 @@ class TestRetries:
     def test_fatal_model_error_is_not_retried(self, generator, monkeypatch):
         """A deterministic ReproError from the task surfaces immediately."""
 
-        def explode(index, params, rng):
+        def explode(indices, params, rngs, timer=None):
             raise HazardError("deterministic modeling bug")
 
-        monkeypatch.setattr(generator, "realize", explode)
+        monkeypatch.setattr(generator, "realize_block", explode)
         controller = RunController(
             generator, COUNT, SEED, n_jobs=1, policy=RetryPolicy(max_retries=5, **FAST)
         )
