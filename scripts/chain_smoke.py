@@ -3,8 +3,11 @@
 Drives ``repro run --chain grid-coupled`` on a small generated ensemble
 and asserts the run manifest records the resolved chain spec and one
 ``pipeline.stage.<name>`` span per stage -- the contract the threat-chain
-refactor added on top of :func:`repro.run_study`.  Exits non-zero on any
-violation.  Run from the repo root::
+refactor added on top of :func:`repro.run_study` -- and that the grid
+coupling's study memo both missed and hit (the matrix cells share one
+ensemble under threshold fragility, so later cells hit), with the split
+printed in the run report.  Exits non-zero on any violation.  Run from
+the repo root::
 
     PYTHONPATH=src python scripts/chain_smoke.py [--realizations 60] [--output manifest.json]
 """
@@ -12,6 +15,8 @@ violation.  Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -41,15 +46,19 @@ def main(argv: list[str] | None = None) -> int:
         )
         if code != 0:
             raise SystemExit(f"ensemble generation failed with exit code {code}")
-        code = cli_main(
-            [
-                "run",
-                "--ensemble", str(csv_path),
-                "--chain", "grid-coupled",
-                "--manifest-out", str(manifest_path),
-                "--run-report",
-            ]
-        )
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(
+                [
+                    "run",
+                    "--ensemble", str(csv_path),
+                    "--chain", "grid-coupled",
+                    "--manifest-out", str(manifest_path),
+                    "--run-report",
+                ]
+            )
+        report = stdout.getvalue()
+        print(report, end="")
         if code != 0:
             raise SystemExit(f"run --chain grid-coupled failed with exit code {code}")
 
@@ -69,6 +78,12 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"missing per-stage spans for: {missing}")
     if manifest["metrics"]["counters"].get("pipeline.realizations", 0) <= 0:
         raise SystemExit("pipeline.realizations counter was not populated")
+    for decision in ("miss", "hit"):
+        count = manifest["metrics"]["counters"].get(f"pipeline.coupling_cache.{decision}", 0)
+        if count <= 0:
+            raise SystemExit(f"pipeline.coupling_cache.{decision} is {count}, expected > 0")
+    if "Coupling memo: " not in report:
+        raise SystemExit("the run report does not show the coupling memo hit/miss split")
     print(
         f"chain smoke OK: {chain['name']} "
         f"({' -> '.join(stage_names)}), manifest at {manifest_path}"

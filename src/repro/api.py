@@ -440,8 +440,8 @@ class StudyResult:
     def impacts(self, *, loss_model: "LossModel | None" = None):
         """Per-realization load-shed / loss arrays (weighted aggregates).
 
-        One DC load-flow cascade per distinct damage pattern, broadcast
-        over the ensemble; the default :class:`~repro.sampling.LossModel`
+        One grid-kernel pass over the distinct damage patterns,
+        broadcast over the ensemble; the default :class:`~repro.sampling.LossModel`
         result is computed once and cached on the result object.
         """
         from repro.sampling.impact import compute_impacts

@@ -3,7 +3,8 @@
 :meth:`~repro.core.chain.ThreatChain.run_batch` is the analysis
 executor: it evaluates a whole (realization x asset) grid in a handful
 of numpy passes -- fragility thresholds as one matrix comparison, the
-grid/WAN cascade as one coupling call per *distinct* damage pattern,
+grid/WAN cascade as one kernel call over the *distinct* damage patterns
+the study memo does not hold yet,
 the worst-case attack as a vectorized greedy sweep
 (:meth:`~repro.core.attacker.WorstCaseAttacker.attack_batch`), and
 Table I as a vectorized rule table
@@ -220,10 +221,13 @@ class BatchContext:
     The per-cell analogue of :class:`~repro.core.chain.ChainContext`:
     one is built per (architecture, placement, scenario) cell, wrapping
     the ensemble's full ``(n_realizations, n_assets)`` depth matrix
-    instead of one realization.  ``matrix_cache`` is an externally owned
-    memo (model token -> failure or probability grid) the pipeline shares
-    across cells, so an ensemble pays one fragility pass per distinct
-    model; every lookup counts ``pipeline.matrix_cache.hit``/``.miss``.
+    instead of one realization.  ``matrix_cache`` is the externally
+    owned study memo the pipeline shares across cells: model token ->
+    failure or probability grid, so an ensemble pays one fragility pass
+    per distinct model (every lookup counts
+    ``pipeline.matrix_cache.hit``/``.miss``), and stage substrate ->
+    per-damage-pattern rows (:attr:`memo`,
+    :func:`~repro.grid.kernel.lookup_patterns`).
     """
 
     __slots__ = (
@@ -250,7 +254,7 @@ class BatchContext:
         attacker: "Attacker",
         asset_names: list[str],
         depths: np.ndarray,
-        matrix_cache: dict[object, np.ndarray] | None = None,
+        matrix_cache: dict | None = None,
     ) -> None:
         self.architecture = architecture
         self.placement = placement
@@ -270,6 +274,11 @@ class BatchContext:
         #: before each ``apply_batch`` call -- the batched analogue of
         #: handing the shared generator down the scalar chain.
         self.draws: np.ndarray | None = None
+
+    @property
+    def memo(self) -> dict:
+        """The study memo (shared across cells, owned by the analysis)."""
+        return self._matrix_cache
 
     @property
     def n_realizations(self) -> int:

@@ -59,6 +59,7 @@ from repro.scada.placement import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.grid.model import GridModel
+    from repro.network.coupling import CouplingKernel
     from repro.network.interdependency import InterdependencyParams
     from repro.network.topology import WANTopology
 
@@ -102,7 +103,9 @@ class ChainContext:
     ``None`` to run the fragility model.  ``extras`` is a scratch mapping
     stages use to hand data downstream (e.g. the hazard stage publishes
     ``"failed_assets"``; the interdependency stage publishes its coupling
-    summary).
+    summary).  ``memo`` is the study memo the analysis owns (the same
+    dict its batch contexts carry as ``matrix_cache``); stages keep
+    per-study results there, never on themselves.
     """
 
     __slots__ = (
@@ -115,6 +118,7 @@ class ChainContext:
         "failed",
         "classified",
         "extras",
+        "memo",
     )
 
     def __init__(
@@ -126,11 +130,13 @@ class ChainContext:
         *,
         fragility: FragilityModel | None = None,
         attacker: Attacker | None = None,
+        memo: dict | None = None,
     ) -> None:
         self.architecture = architecture
         self.placement = placement
         self.scenario = scenario
         self.realization = realization
+        self.memo = {} if memo is None else memo
         self.fragility = fragility if fragility is not None else ThresholdFragility()
         self.attacker = attacker if attacker is not None else WorstCaseAttacker()
         self.failed: frozenset[str] | None = None
@@ -303,9 +309,14 @@ class InterdependencyStage:
     classification stages see the compound (grid + comms) impact, not
     just the direct inundation.
 
-    The coupling is deterministic per failed-bus set and memoized on the
-    stage instance, so an ensemble pays one cascade per *distinct* damage
-    pattern (most realizations damage nothing and share one entry).
+    The coupling is deterministic per failed-bus set.  Both executors
+    pack each realization's failed buses into a pattern code and run the
+    batched :class:`~repro.network.coupling.CouplingKernel` on the codes
+    the study has not met yet (``apply`` is the kernel with one
+    pattern).  Results live in the study memo the context carries
+    (:func:`~repro.grid.kernel.lookup_patterns`), so an ensemble pays
+    one cascade per *distinct* damage pattern and the stage itself keeps
+    nothing between studies but its compiled substrate.
     """
 
     name = "interdependency"
@@ -326,19 +337,28 @@ class InterdependencyStage:
         self._wan = wan
         self._pop_to_bus = dict(pop_to_bus) if pop_to_bus is not None else None
         self._params = params
-        self._coupling_cache: dict[frozenset[str], tuple[frozenset[str], dict]] = {}
+        self._kernel: "CouplingKernel | None" = None
 
-    def _materialize(self):
-        """Build the default Oahu grid/WAN substrate lazily, once."""
+    def kernel(self) -> "CouplingKernel":
+        """The compiled substrate (default: Oahu), built once per stage."""
+        if self._kernel is None:
+            from repro.grid.kernel import SUBSTRATE_LOCK
+
+            with SUBSTRATE_LOCK:
+                if self._kernel is None:
+                    self._kernel = self._build_kernel()
+        return self._kernel
+
+    def _build_kernel(self) -> "CouplingKernel":
+        from repro.network.coupling import CouplingKernel
         from repro.network.interdependency import OAHU_POP_POWER, InterdependencyParams
 
-        if self._params is None:
-            self._params = InterdependencyParams()
-        if self._grid is None:
+        grid, wan = self._grid, self._wan
+        if grid is None:
             from repro.grid.model import build_oahu_grid
 
-            self._grid = build_oahu_grid()
-        if self._wan is None:
+            grid = build_oahu_grid()
+        if wan is None:
             from repro.geo import (
                 DRFORTRESS,
                 HONOLULU_CC,
@@ -348,86 +368,16 @@ class InterdependencyStage:
             )
             from repro.network.topology import build_site_wan
 
-            self._wan = build_site_wan(
+            wan = build_site_wan(
                 build_oahu_catalog(),
                 [HONOLULU_CC, WAIAU_CC, KAHE_CC, DRFORTRESS],
             )
-        if self._pop_to_bus is None:
-            self._pop_to_bus = dict(OAHU_POP_POWER)
-        return self._grid, self._wan, self._pop_to_bus, self._params
-
-    def _coupling(self, failed: frozenset[str]) -> tuple[frozenset[str], dict]:
-        """(isolated control sites, summary) for one damage pattern."""
-        import networkx as nx
-
-        from repro.errors import NetworkModelError
-        from repro.grid.contingency import simulate_contingency
-        from repro.grid.storm_impact import damaged_grid
-
-        grid, wan, pop_to_bus, params = self._materialize()
-        out_buses = frozenset(name for name in failed if name in grid.buses)
-        try:
-            return self._coupling_cache[out_buses]
-        except KeyError:
-            pass
-        survivor, shed = damaged_grid(grid, out_buses)
-        degenerate = (
-            not survivor.lines
-            or not survivor.generators
-            or survivor.total_demand_mw == 0
+        return CouplingKernel(
+            grid,
+            wan,
+            self._pop_to_bus if self._pop_to_bus is not None else dict(OAHU_POP_POWER),
+            self._params if self._params is not None else InterdependencyParams(),
         )
-        scada = True
-        rounds = 0
-        served_mw = 0.0
-        while True:
-            rounds += 1
-            if rounds > params.max_rounds:
-                raise NetworkModelError(
-                    "interdependency cascade did not converge"
-                )
-            bus_service: dict[str, float] = {}
-            if not degenerate:
-                cascade = simulate_contingency(survivor, set(), scada)
-                for island in cascade.islands:
-                    fraction = (
-                        island.served_mw / island.demand_mw
-                        if island.demand_mw > 0
-                        else 1.0
-                    )
-                    for bus in island.buses:
-                        bus_service[bus] = fraction
-                served_mw = cascade.served_fraction * survivor.total_demand_mw
-            dead = {
-                pop
-                for pop, bus in pop_to_bus.items()
-                if bus in out_buses
-                or bus_service.get(bus, 0.0) < params.pop_power_threshold
-            }
-            graph = wan.graph.copy()
-            graph.remove_nodes_from(dead)
-            best_group: frozenset[str] = frozenset()
-            for component in nx.connected_components(graph):
-                group = frozenset(component & wan.site_nodes)
-                if len(group) > len(best_group):
-                    best_group = group
-            scada_next = scada and len(best_group) >= params.required_connected_sites
-            if scada_next == scada:
-                break
-            scada = scada_next
-        isolated = frozenset(wan.site_nodes - best_group)
-        summary = {
-            "out_buses": tuple(sorted(out_buses)),
-            "shed_at_damaged_mw": shed,
-            "served_fraction": (
-                served_mw / grid.total_demand_mw if grid.total_demand_mw > 0 else 1.0
-            ),
-            "scada_operational": scada,
-            "dead_pops": tuple(sorted(dead)),
-            "connected_sites": len(best_group),
-            "rounds": rounds,
-        }
-        self._coupling_cache[out_buses] = (isolated, summary)
-        return isolated, summary
 
     def apply(
         self,
@@ -435,13 +385,18 @@ class InterdependencyStage:
         ctx: ChainContext,
         rng: np.random.Generator | None,
     ) -> SystemState:
+        from repro.grid.kernel import lookup_patterns
+
         if state is None:
             state = ctx.base_state()
         failed = ctx.extras.get("failed_assets")
         if failed is None:
             failed = ctx.failed_assets(rng)
             ctx.extras["failed_assets"] = failed
-        isolated, summary = self._coupling(frozenset(failed))
+        kernel = self.kernel()
+        code = kernel.grid.code_of(failed)
+        (row,) = lookup_patterns(ctx.memo, kernel, np.array([code]), kernel.rows)
+        isolated, summary = kernel.summary(code, row)
         ctx.extras["interdependency"] = summary
         if isolated:
             for index, site in enumerate(state.sites):
@@ -471,6 +426,7 @@ class InterdependencyStage:
         ctx: BatchContext,
         rng: np.random.Generator | None,
     ) -> ChainBatch:
+        from repro.grid.kernel import lookup_patterns
         from repro.grid.storm_impact import damage_pattern_groups
 
         if batch is None:
@@ -479,20 +435,12 @@ class InterdependencyStage:
         if failed is None:
             failed = ctx.failure_matrix()
             batch = batch.replace(failed=failed)
-        grid, _wan, _pop_to_bus, _params = self._materialize()
-        # One coupling call per distinct damage pattern, through the same
-        # memo the scalar path uses (identical cache keys: both reduce
-        # the failed set to its grid-bus subset before lookup).
-        patterns, inverse = damage_pattern_groups(
-            failed, ctx.asset_names, frozenset(grid.buses)
+        kernel = self.kernel()
+        codes, inverse = damage_pattern_groups(
+            failed, ctx.asset_names, kernel.grid.bus_names
         )
-        masks = np.zeros((len(patterns), len(ctx.site_names)), dtype=bool)
-        for p, pattern in enumerate(patterns):
-            isolated, _summary = self._coupling(pattern)
-            if isolated:
-                for j, name in enumerate(ctx.site_names):
-                    if name in isolated:
-                        masks[p, j] = True
+        rows = lookup_patterns(ctx.memo, kernel, codes, kernel.rows)
+        masks = kernel.site_masks((row[0] for row in rows), ctx.site_names)
         return batch.replace(isolated=batch.isolated | masks[inverse])
 
 

@@ -70,12 +70,13 @@ class CompoundThreatAnalysis:
         Seeds the rng handed to stochastic attackers (ignored by the
         deterministic ones), keeping runs reproducible.
     matrix_cache:
-        An externally owned fragility memo (model token ->
-        failure/probability grid) to use instead of a private one.  The
-        cached grids are pure functions of the ensemble's depth grid --
-        sampled outcomes are never stored -- so it is sound for
-        stochastic fragility too, and the sweep engine shares one per
-        ensemble group.
+        An externally owned study memo to use instead of a private one:
+        fragility grids (model token -> failure/probability grid) and
+        per-damage-pattern grid results (stage substrate -> pattern code
+        -> row).  Every entry is a pure function of the ensemble's depth
+        grid or of a bus-damage pattern -- sampled outcomes are never
+        stored -- so it is sound for stochastic fragility too, and the
+        sweep engine shares one per ensemble group.
     chain:
         The threat chain to run each realization through: a registered
         name, a :class:`~repro.core.chain.ThreatChain`, or ``None`` for
@@ -109,7 +110,7 @@ class CompoundThreatAnalysis:
         chain: ThreatChain | str | None = None,
         batch: bool | None = None,
         weights: np.ndarray | None = None,
-        matrix_cache: dict[object, np.ndarray] | None = None,
+        matrix_cache: dict | None = None,
     ) -> None:
         if len(ensemble) == 0:
             raise AnalysisError("ensemble must contain realizations")
@@ -128,17 +129,17 @@ class CompoundThreatAnalysis:
         self.batch = batch
         self._seed = seed
         # Memos shared across every matrix cell: the ensemble's depth
-        # grid is resolved once, and failure matrices / probability grids
-        # are cached per fragility model.  Both entry kinds are pure
-        # functions of (depths, model) -- the stochastic path samples
-        # fresh draws *against* the cached probability grid, never
-        # caching outcomes -- so the sweep engine may pass one externally
-        # owned ``matrix_cache`` per shared ensemble.
+        # grid is resolved once; failure matrices / probability grids are
+        # cached per fragility model and grid results per damage pattern.
+        # Every entry is a pure function of (depths, model) or of a
+        # pattern -- the stochastic path samples fresh draws *against*
+        # the cached probability grid, never caching outcomes -- so the
+        # sweep engine may pass one externally owned ``matrix_cache`` per
+        # shared ensemble.  It lives as long as the analysis: stages keep
+        # no per-study state of their own.
         self._batch_depths: tuple[list[str], np.ndarray] | None = None
         self._batch_probed = False
-        self._failure_matrix_cache: dict[object, np.ndarray] = (
-            {} if matrix_cache is None else matrix_cache
-        )
+        self._memo: dict = {} if matrix_cache is None else matrix_cache
 
     def _depth_grid(self) -> tuple[list[str], np.ndarray] | None:
         """The ensemble's (asset names, depth matrix), probed once.
@@ -182,7 +183,7 @@ class CompoundThreatAnalysis:
             attacker=self.attacker,
             asset_names=names,
             depths=depths,
-            matrix_cache=self._failure_matrix_cache,
+            matrix_cache=self._memo,
         )
 
     def _context(
@@ -198,6 +199,7 @@ class CompoundThreatAnalysis:
             scenario,
             fragility=self.fragility,
             attacker=self.attacker,
+            memo=self._memo,
         )
 
     # ------------------------------------------------------------------

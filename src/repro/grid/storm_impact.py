@@ -135,26 +135,26 @@ def ensemble_grid_impact(
 def damage_pattern_groups(
     failed: np.ndarray,
     asset_names: Sequence[str],
-    bus_names: frozenset[str] | set[str],
-) -> tuple[list[frozenset[str]], np.ndarray]:
-    """Distinct grid-damage patterns in a (realization x asset) failure grid.
+    bus_names: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct grid-damage patterns of a (realization x asset) failure grid.
 
-    Returns ``(patterns, inverse)`` with ``patterns[inverse[i]]`` the set
-    of failed grid buses in realization ``i``.  Only columns naming grid
-    buses enter the dedup, so control-center-only flooding collapses into
-    the no-damage pattern -- which is why the batched interdependency
-    stage pays one cascade per *distinct* damage pattern instead of one
-    per realization (most realizations damage no bus and share one
-    entry, exactly as the per-realization coupling memo does).
+    Each row's failed buses pack into an ``int64`` code, bit ``k`` set
+    when ``bus_names[k]`` failed (the :mod:`repro.grid.kernel` pattern
+    code when ``bus_names`` is a kernel's ``bus_names``).  Returns
+    ``(codes, inverse)``: the sorted distinct codes and, per
+    realization, the index of its code.  Only columns naming grid buses
+    enter the code, so control-center-only flooding collapses into the
+    no-damage pattern 0 -- which is why the grid kernels run once per
+    *distinct* pattern instead of once per realization.
     """
-    columns = [i for i, name in enumerate(asset_names) if name in bus_names]
+    column = {name: i for i, name in enumerate(asset_names)}
+    bits = [k for k, name in enumerate(bus_names) if name in column]
     n_rows = int(failed.shape[0])
-    if not columns:
-        return [frozenset()], np.zeros(n_rows, dtype=np.intp)
-    sub = np.asarray(failed, dtype=bool)[:, columns]
-    rows, inverse = np.unique(sub, axis=0, return_inverse=True)
-    names = [asset_names[c] for c in columns]
-    patterns = [
-        frozenset(name for name, hit in zip(names, row) if hit) for row in rows
-    ]
-    return patterns, np.asarray(inverse).reshape(-1)
+    if not bits:
+        return np.zeros(1, dtype=np.int64), np.zeros(n_rows, dtype=np.intp)
+    columns = [column[bus_names[k]] for k in bits]
+    weights = np.left_shift(1, np.array(bits, dtype=np.int64))
+    codes = np.asarray(failed, dtype=bool)[:, columns] @ weights
+    unique, inverse = np.unique(codes, return_inverse=True)
+    return unique, np.asarray(inverse).reshape(-1)

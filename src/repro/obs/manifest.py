@@ -188,6 +188,15 @@ def format_run_report(manifest: dict) -> str:
                 lines.append(
                     f"  {name[len(prefix):]}: {counters[name]:g}"
                 )
+    hits = counters.get("pipeline.coupling_cache.hit", 0)
+    misses = counters.get("pipeline.coupling_cache.miss", 0)
+    if hits or misses:
+        # The grid stages' cache decision: a miss runs the kernel.
+        lines.append("")
+        lines.append(
+            f"Coupling memo: {hits:g} hit / {misses:g} miss "
+            f"({hits / (hits + misses):.1%} of damage-pattern lookups hit)"
+        )
     if counters:
         lines.append("")
         lines.append("Counters:")

@@ -17,14 +17,16 @@ Hot paths never import metrics or tracing directly; they grab the
 :func:`activate` installs an observer for a ``with`` block; the facade
 (:func:`repro.api.run_study`) is the only place that should need it --
 instrumentation is wired once there rather than per script.  The active
-observer is process-local: worker processes start with the null
-observer and ship metric *snapshots* back instead (see
-:meth:`MetricsRegistry.merge`).
+observer is context-local (a :class:`contextvars.ContextVar`): each
+thread starts with the null observer, so concurrent studies on threads
+each record into their own, and worker processes ship metric
+*snapshots* back instead (see :meth:`MetricsRegistry.merge`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.events import EventLog
@@ -116,21 +118,19 @@ class NullObservability:
 
 NULL_OBSERVER = NullObservability()
 
-_active: Observability | NullObservability = NULL_OBSERVER
+_active: ContextVar[Observability | NullObservability] = ContextVar(
+    "repro_observer", default=NULL_OBSERVER
+)
 
-
-def current() -> Observability | NullObservability:
-    """The active observer (the shared null observer by default)."""
-    return _active
+#: The active observer (the shared null observer by default).
+current = _active.get
 
 
 @contextmanager
 def activate(obs: Observability | NullObservability) -> Iterator:
     """Install ``obs`` as the active observer for the duration of a block."""
-    global _active
-    previous = _active
-    _active = obs
+    token = _active.set(obs)
     try:
         yield obs
     finally:
-        _active = previous
+        _active.reset(token)

@@ -4,17 +4,18 @@ The paper's output is a green/orange/red count; production risk questions
 want *how much* -- megawatts shed and dollars lost -- as exceedance
 curves and expected annual loss (the compound cyberattack/extreme-weather
 economics framing of arXiv 2209.04927).  This module adds that layer two
-ways that share one solver and one memo:
+ways that share one kernel, the SCADA-on island pass of
+:class:`~repro.grid.kernel.GridKernel`:
 
 * :class:`LoadShedStage` / :class:`EconomicLossStage` -- chain stages
   (the ``"tail-risk"`` preset) publishing per-realization impact into
   ``ctx.extras`` for timeline inspection, memoized per distinct damage
-  pattern exactly like
+  pattern in the study memo exactly like
   :class:`~repro.core.chain.InterdependencyStage`.
 * :func:`compute_impacts` -- the vectorized driver behind
-  :meth:`StudyResult.exceedance`: one DC load-flow cascade per distinct
-  damage pattern, broadcast back over realizations, with importance
-  weights carried into every aggregate.
+  :meth:`StudyResult.exceedance`: one kernel pass over the distinct
+  packed damage patterns, broadcast back over realizations, with
+  importance weights carried into every aggregate.
 
 The load-flow approximation is the existing grid substrate: storm-failed
 buses are removed (:func:`~repro.grid.storm_impact.damaged_grid`), the
@@ -40,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.batch import BatchContext, ChainBatch
     from repro.core.chain import ChainContext
     from repro.core.system_state import SystemState
+    from repro.grid.kernel import GridKernel
     from repro.grid.model import GridModel
 
 __all__ = [
@@ -95,51 +97,14 @@ class GridImpact:
     served_fraction: float
 
 
-class _GridImpactSolver:
-    """The shared per-damage-pattern DC load-flow memo."""
+def _grid_kernel(grid: "GridModel | None") -> "GridKernel":
+    from repro.grid.kernel import GridKernel
 
-    def __init__(self, grid: "GridModel | None" = None) -> None:
-        self._grid = grid
-        self._cache: dict[frozenset[str], GridImpact] = {}
+    if grid is None:
+        from repro.grid.model import build_oahu_grid
 
-    def _materialize(self) -> "GridModel":
-        if self._grid is None:
-            from repro.grid.model import build_oahu_grid
-
-            self._grid = build_oahu_grid()
-        return self._grid
-
-    def solve(self, failed: frozenset[str]) -> GridImpact:
-        """Impact of one failed-asset set (memoized per bus pattern)."""
-        from repro.grid.contingency import simulate_contingency
-        from repro.grid.storm_impact import damaged_grid
-
-        grid = self._materialize()
-        out_buses = frozenset(name for name in failed if name in grid.buses)
-        try:
-            return self._cache[out_buses]
-        except KeyError:
-            pass
-        survivor, _shed_at_damaged = damaged_grid(grid, out_buses)
-        degenerate = (
-            not survivor.lines
-            or not survivor.generators
-            or survivor.total_demand_mw == 0
-        )
-        if degenerate:
-            served_mw = 0.0
-        else:
-            cascade = simulate_contingency(survivor, set(), True)
-            served_mw = cascade.served_fraction * survivor.total_demand_mw
-        demand = grid.total_demand_mw
-        shed_mw = max(0.0, demand - served_mw)
-        impact = GridImpact(
-            out_buses=tuple(sorted(out_buses)),
-            shed_mw=shed_mw,
-            served_fraction=served_mw / demand if demand > 0 else 1.0,
-        )
-        self._cache[out_buses] = impact
-        return impact
+        grid = build_oahu_grid()
+    return GridKernel(grid)
 
 
 # ----------------------------------------------------------------------
@@ -302,12 +267,12 @@ def compute_impacts(
     grid: "GridModel | None" = None,
     loss_model: LossModel | None = None,
 ) -> ImpactResult:
-    """Solve every realization's grid impact (one cascade per distinct
-    damage pattern) and convert to economic loss."""
+    """Solve every realization's grid impact (one kernel pass over the
+    distinct packed damage patterns) and convert to economic loss."""
     from repro.grid.storm_impact import damage_pattern_groups
 
     loss_model = loss_model if loss_model is not None else LossModel()
-    solver = _GridImpactSolver(grid)
+    kernel = _grid_kernel(grid)
     failed = _failure_matrix(ensemble, fragility)
     n = failed.shape[0]
     if weights is None:
@@ -318,16 +283,10 @@ def compute_impacts(
             f"weights shape {weights.shape} does not match ensemble "
             f"size {n}"
         )
-    grid_model = solver._materialize()
-    patterns, inverse = damage_pattern_groups(
-        failed, ensemble.asset_names, frozenset(grid_model.buses)
+    codes, inverse = damage_pattern_groups(
+        failed, ensemble.asset_names, kernel.bus_names
     )
-    shed_by_pattern = np.empty(len(patterns))
-    served_by_pattern = np.empty(len(patterns))
-    for p, pattern in enumerate(patterns):
-        impact = solver.solve(pattern)
-        shed_by_pattern[p] = impact.shed_mw
-        served_by_pattern[p] = impact.served_fraction
+    shed_by_pattern, served_by_pattern = np.array(kernel.impact_rows(codes)).T
     failed_counts = failed.sum(axis=1)
     shed = shed_by_pattern[inverse]
     loss = (
@@ -349,9 +308,11 @@ def compute_impacts(
 class LoadShedStage:
     """DC load-flow load shed of the surviving grid, per realization.
 
-    Deterministic and memoized per distinct damage pattern (the
-    :class:`~repro.core.chain.InterdependencyStage` trick), so an
-    ensemble pays one cascade per pattern.  Publishes
+    Deterministic: each realization's failed buses pack into a pattern
+    code, and :meth:`~repro.grid.kernel.GridKernel.impact_rows` (the
+    kernel's SCADA-on island pass) solves the codes the study memo
+    (``ctx.memo``) does not hold yet, so an ensemble pays one pass per
+    distinct pattern and the stage keeps no per-study state.  Publishes
     ``ctx.extras["load_shed"]`` (a :class:`GridImpact`); never alters
     the system state, so classification is untouched.
     """
@@ -360,7 +321,18 @@ class LoadShedStage:
     deterministic = True
 
     def __init__(self, grid: "GridModel | None" = None) -> None:
-        self._solver = _GridImpactSolver(grid)
+        self._grid = grid
+        self._kernel: "GridKernel | None" = None
+
+    def kernel(self) -> "GridKernel":
+        """The compiled grid (default: Oahu), built once per stage."""
+        if self._kernel is None:
+            from repro.grid.kernel import SUBSTRATE_LOCK
+
+            with SUBSTRATE_LOCK:
+                if self._kernel is None:
+                    self._kernel = _grid_kernel(self._grid)
+        return self._kernel
 
     def apply(
         self,
@@ -368,13 +340,24 @@ class LoadShedStage:
         ctx: "ChainContext",
         rng: np.random.Generator | None,
     ) -> "SystemState":
+        from repro.grid.kernel import lookup_patterns
+
         if state is None:
             state = ctx.base_state()
         failed = ctx.extras.get("failed_assets")
         if failed is None:
             failed = ctx.failed_assets(rng)
             ctx.extras["failed_assets"] = failed
-        ctx.extras["load_shed"] = self._solver.solve(frozenset(failed))
+        kernel = self.kernel()
+        code = kernel.code_of(failed)
+        ((shed_mw, served_fraction),) = lookup_patterns(
+            ctx.memo, kernel, np.array([code]), kernel.impact_rows
+        )
+        ctx.extras["load_shed"] = GridImpact(
+            out_buses=kernel.names_of(code),
+            shed_mw=shed_mw,
+            served_fraction=served_fraction,
+        )
         return state
 
     # In the fused batched pass the stage is a draw-free no-op: impact

@@ -189,9 +189,11 @@ def _analyze(
 ) -> ScenarioMatrix:
     """One study's matrix over a shared ensemble.
 
-    ``matrix_cache`` is the ensemble group's fragility memo: its failure
-    and probability grids are pure functions of (shared depths, model),
-    so every study of the group reuses them, stochastic chains included.
+    ``matrix_cache`` is the ensemble group's study memo: its failure and
+    probability grids are pure functions of (shared depths, model) and
+    its per-damage-pattern grid results of (bus pattern, stage
+    substrate), so every study of the group reuses them, stochastic
+    chains included.
     """
     analysis = CompoundThreatAnalysis(
         ensemble,

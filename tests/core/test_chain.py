@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.geo.coords import GeoPoint
 from repro.geo import DRFORTRESS, HONOLULU_CC, WAIAU_CC
 from repro.hazards.fragility import ThresholdFragility
+from repro.obs.observer import Observability, activate
 from repro.hazards.hurricane.ensemble import (
     HurricaneEnsemble,
     HurricaneRealization,
@@ -238,13 +239,20 @@ class TestInterdependencyStage:
         assert any(s.isolated for s in state.sites)
 
     def test_coupling_is_memoized_per_damage_pattern(self):
+        # The memo is the study memo the context carries, not the stage:
+        # the first realization misses, the repeats hit the same entry.
         stage = InterdependencyStage()
         ctx = self._context()
-        for _ in range(3):
-            ctx.extras.clear()
-            ctx.extras["failed_assets"] = frozenset(POP_SUBSTATIONS[:1])
-            stage.apply(ctx.base_state(), ctx, None)
-        assert len(stage._coupling_cache) == 1
+        obs = Observability()
+        with activate(obs):
+            for _ in range(3):
+                ctx.extras.clear()
+                ctx.extras["failed_assets"] = frozenset(POP_SUBSTATIONS[:1])
+                stage.apply(ctx.base_state(), ctx, None)
+        assert obs.metrics.counter("pipeline.coupling_cache.miss") == 1
+        assert obs.metrics.counter("pipeline.coupling_cache.hit") == 2
+        assert [len(table) for table in ctx.memo.values()] == [1]
+        assert ctx.memo.keys() == {stage.kernel()}
 
     def test_non_bus_asset_names_are_ignored(self):
         stage = InterdependencyStage()

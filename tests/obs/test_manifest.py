@@ -175,6 +175,25 @@ class TestRunReport:
         assert "stage.fragility: 2" in report
         assert "no_depth_grid: 1" in report
 
+    def test_report_shows_the_coupling_memo_split(self):
+        obs = Observability()
+        with obs.span("run_study"):
+            obs.inc("pipeline.coupling_cache.hit", 30)
+            obs.inc("pipeline.coupling_cache.miss", 10)
+        manifest = build_run_manifest(
+            config_hash="abc",
+            seed=0,
+            n_realizations=1,
+            configurations=["2"],
+            scenarios=["hurricane"],
+            placement="p",
+            obs=obs,
+            wall_clock_s=0.1,
+        )
+        report = format_run_report(manifest)
+        assert "Coupling memo: 30 hit / 10 miss (75.0% of damage-pattern lookups hit)" in report
+        assert "Coupling memo" not in format_run_report(_sample_manifest())
+
     def test_report_omits_fallback_callout_when_none(self):
         report = format_run_report(_sample_manifest())
         assert "Batch fallbacks" not in report

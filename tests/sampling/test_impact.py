@@ -7,6 +7,7 @@ import pytest
 
 from repro import available_chains, get_chain
 from repro.errors import AnalysisError, ConfigurationError
+from repro.hazards.fragility import ThresholdFragility
 from repro.sampling import (
     ExceedanceCurve,
     ExpectedAnnualLoss,
@@ -118,6 +119,62 @@ class TestComputeImpacts:
     def test_weights_must_match_the_ensemble(self, small_ensemble):
         with pytest.raises(AnalysisError, match="does not match"):
             compute_impacts(small_ensemble, weights=np.ones(3))
+
+
+class TestImpactKernel:
+    """The kernel's SCADA-on pass against the per-pattern scalar solver."""
+
+    def test_every_pattern_of_the_standard_ensemble_matches(self, standard_ensemble):
+        from repro.grid.kernel import GridKernel
+        from repro.grid.model import build_oahu_grid
+        from repro.grid.storm_impact import damage_pattern_groups
+        from tests.network.coupling_reference import reference_grid_impact
+
+        assert len(standard_ensemble) == 1000
+        grid = build_oahu_grid()
+        kernel = GridKernel(grid)
+        failed = standard_ensemble.depth_view() > ThresholdFragility().threshold_m
+        codes, inverse = damage_pattern_groups(
+            failed, standard_ensemble.asset_names, kernel.bus_names
+        )
+        assert len(codes) > 1
+        for code, (shed, served) in zip(codes.tolist(), kernel.impact_rows(codes)):
+            expected_shed, expected_served = reference_grid_impact(
+                grid, frozenset(kernel.names_of(code))
+            )
+            assert shed == pytest.approx(expected_shed, rel=1e-12, abs=0.0)
+            assert served == pytest.approx(expected_served, rel=1e-12, abs=0.0)
+        result = compute_impacts(standard_ensemble)
+        shed_by_code = dict(zip(codes.tolist(), kernel.impact_rows(codes)))
+        expected = np.array([shed_by_code[c][0] for c in codes[inverse].tolist()])
+        np.testing.assert_array_equal(result.shed_mw, expected)
+
+    def test_load_shed_stage_memoizes_in_the_study_memo(self):
+        from repro.core.chain import ChainContext
+        from repro.core.threat import PAPER_SCENARIOS
+        from repro.obs.observer import Observability, activate
+        from repro.sampling import LoadShedStage
+        from repro.scada.architectures import get_architecture
+        from repro.scada.placement import PLACEMENT_WAIAU
+        from tests.network.coupling_reference import reference_grid_impact
+
+        stage = LoadShedStage()
+        ctx = ChainContext(get_architecture("2"), PLACEMENT_WAIAU, PAPER_SCENARIOS[0])
+        failed = frozenset({"Iwilei Substation", "Honolulu Control Center"})
+        obs = Observability()
+        with activate(obs):
+            for _ in range(2):
+                ctx.extras.clear()
+                ctx.extras["failed_assets"] = failed
+                stage.apply(ctx.base_state(), ctx, None)
+        impact = ctx.extras["load_shed"]
+        assert impact.out_buses == ("Iwilei Substation",)
+        assert (impact.shed_mw, impact.served_fraction) == reference_grid_impact(
+            stage.kernel().grid, failed
+        )
+        assert obs.metrics.counter("pipeline.coupling_cache.miss") == 1
+        assert obs.metrics.counter("pipeline.coupling_cache.hit") == 1
+        assert not any("cache" in name for name in vars(stage))
 
 
 class TestTailRiskChain:
