@@ -41,19 +41,29 @@ class GeoPoint:
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometres."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
+    return great_circle_km(a.lat, a.lon, b.lat, b.lon)
+
+
+def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """:func:`haversine_km` on bare degrees (no :class:`GeoPoint` needed)."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
     """Initial great-circle bearing from ``a`` to ``b`` in degrees [0, 360)."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlam = math.radians(b.lon - a.lon)
+    return bearing_between_deg(a.lat, a.lon, b.lat, b.lon)
+
+
+def bearing_between_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """:func:`initial_bearing_deg` on bare degrees."""
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dlam = math.radians(lon2 - lon1)
     y = math.sin(dlam) * math.cos(phi2)
     x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
     return math.degrees(math.atan2(y, x)) % 360.0
@@ -61,10 +71,17 @@ def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
 
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """Point reached by travelling ``distance_km`` along ``bearing_deg``."""
+    return GeoPoint(*destination_latlon(origin.lat, origin.lon, bearing_deg, distance_km))
+
+
+def destination_latlon(
+    lat: float, lon: float, bearing_deg: float, distance_km: float
+) -> tuple[float, float]:
+    """:func:`destination_point` on bare degrees: the unvalidated (lat, lon)."""
     delta = distance_km / EARTH_RADIUS_KM
     theta = math.radians(bearing_deg)
-    phi1 = math.radians(origin.lat)
-    lam1 = math.radians(origin.lon)
+    phi1 = math.radians(lat)
+    lam1 = math.radians(lon)
     phi2 = math.asin(
         math.sin(phi1) * math.cos(delta) + math.cos(phi1) * math.sin(delta) * math.cos(theta)
     )
@@ -72,9 +89,9 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) 
         math.sin(theta) * math.sin(delta) * math.cos(phi1),
         math.cos(delta) - math.sin(phi1) * math.sin(phi2),
     )
-    lon = math.degrees(lam2)
-    lon = (lon + 540.0) % 360.0 - 180.0
-    return GeoPoint(math.degrees(phi2), lon)
+    lon2 = math.degrees(lam2)
+    lon2 = (lon2 + 540.0) % 360.0 - 180.0
+    return math.degrees(phi2), lon2
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,8 @@ def _islands(grid: GridModel, out_lines: set[tuple[str, str]]) -> list[frozenset
 
 
 def _island_info(grid: GridModel, buses: frozenset[str]) -> Island:
-    demand = sum(grid.buses[b].demand_mw for b in buses)
+    # Sorted bus order: a frozenset's order depends on PYTHONHASHSEED.
+    demand = sum(grid.buses[b].demand_mw for b in sorted(buses))
     capacity = sum(
         g.capacity_mw for g in grid.generators.values() if g.bus in buses
     )
@@ -73,7 +74,7 @@ def _island_subgrid(
     """A standalone grid for one island, demand scaled to what's served."""
     sub = GridModel()
     scale = island.served_mw / island.demand_mw if island.demand_mw > 0 else 0.0
-    for name in island.buses:
+    for name in sorted(island.buses):
         bus = grid.buses[name]
         sub.add_bus(Bus(name, bus.demand_mw * scale))
     for line in grid.lines:

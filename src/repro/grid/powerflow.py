@@ -55,7 +55,8 @@ def proportional_dispatch(
     cover its demand (callers shed load instead).
     """
     bus_set = set(buses) if buses is not None else set(grid.buses)
-    demand = sum(grid.buses[b].demand_mw for b in bus_set)
+    # Sum in sorted bus order: a set's order depends on PYTHONHASHSEED.
+    demand = sum(grid.buses[b].demand_mw for b in sorted(bus_set))
     available = [
         g
         for g in grid.generators.values()

@@ -45,7 +45,7 @@ def damaged_grid(grid: GridModel, out_buses: frozenset[str]) -> tuple[GridModel,
     for gen in grid.generators.values():
         if gen.bus not in lost:
             survivor.add_generator(gen)
-    shed = sum(grid.buses[name].demand_mw for name in lost)
+    shed = sum(grid.buses[name].demand_mw for name in sorted(lost))
     return survivor, shed
 
 

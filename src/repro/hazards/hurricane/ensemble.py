@@ -18,12 +18,16 @@ count -- including across worker retries, pool rebuilds, and checkpointed
 resumes -- and ensembles can round-trip through the on-disk cache
 (``cache_dir``, see :mod:`repro.io.ensemble_cache`) without drift.
 
+The parameter pass is array-native
+(:meth:`EnsembleGenerator.sample_parameter_block`): one normal matrix in
+the scalar draw order, with a :class:`StormParameters` built per row.
 The realization pass has one kernel, :meth:`EnsembleGenerator.realize_block`:
-a block of realizations goes through track columns, the surge peak,
-per-row dropout and shoreline post-processing together, in cache-sized
-blocks of :attr:`EnsembleGenerator.block_rows` rows.  A row's bits do not
-depend on the block it sits in, so :meth:`EnsembleGenerator.realize` is
-the same kernel on a block of one row.
+a block of realizations goes from parameter columns through track points,
+track columns, the surge peak on the mesh nodes an asset depth reads,
+per-row dropout and shoreline post-processing together, in blocks of
+:attr:`EnsembleGenerator.block_rows` rows.  A row's bits do not depend on
+the block it sits in, so :meth:`EnsembleGenerator.realize` is the same
+kernel on a block of one row.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.hazards.hurricane.track import (
     LEAD_HOURS,
     TRAIL_HOURS,
     StormTrack,
+    linear_track_points,
     sample_times,
     synthesize_linear_track,
 )
@@ -55,6 +60,11 @@ from repro.hazards.hurricane.track import (
 if TYPE_CHECKING:  # runtime imports lazily inside generate() (no cycle)
     from repro.runtime.controller import RetryPolicy
     from repro.runtime.faults import FaultPlan
+
+
+#: Cache-sized surge steps per generation block (docs/performance.md,
+#: "Block generation").
+SURGE_STEPS_PER_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,13 @@ class HurricaneScenarioSpec:
     forward_speed_bounds_kmh: tuple[float, float] = (8.0, 35.0)
 
     def __post_init__(self) -> None:
-        if self.track_offset_sd_km < 0 or self.heading_sd_deg < 0:
+        if min(
+            self.track_offset_sd_km,
+            self.heading_sd_deg,
+            self.pressure_sd_mb,
+            self.rmw_log_sd,
+            self.forward_speed_sd_kmh,
+        ) < 0:
             raise HazardError("perturbation magnitudes cannot be negative")
         lo, hi = self.pressure_bounds_mb
         if not lo < hi:
@@ -298,7 +314,8 @@ class EnsembleGenerator:
         ``offset_km`` overrides the track-offset draw (no rng consumed
         for it): the hook :mod:`repro.sampling` uses to substitute a
         variance-reduced offset stream.  The default ``None`` keeps the
-        historical draw order bit-identical.
+        historical draw order bit-identical.  This scalar draw is the
+        reference :meth:`sample_parameter_block` is checked against.
         """
         s = self.scenario
         if offset_km is None:
@@ -331,11 +348,74 @@ class EnsembleGenerator:
             track_offset_km=offset,
         )
 
+    def sample_parameter_block(
+        self,
+        rng: np.random.Generator,
+        count: int,
+        *,
+        offsets_km: Sequence[float] | None = None,
+    ) -> list[StormParameters]:
+        """``count`` successive :meth:`sample_parameters` draws, as arrays.
+
+        Consumes ``rng`` exactly as ``count`` calls of
+        :meth:`sample_parameters` (with ``offset_km=offsets_km[i]``) do and
+        returns the same parameters bitwise: the normals are one
+        ``standard_normal((count, k))`` matrix in the scalar draw order
+        (``loc + scale * z`` is how ``rng.normal`` scales one), clipped
+        with ``np.minimum``/``np.maximum``.  ``math.exp`` and the landfall
+        offset stay per element on :mod:`math`, since numpy's vectorized
+        transcendentals may round differently.
+        """
+        s = self.scenario
+        if offsets_km is None:
+            z = rng.standard_normal((count, 5))
+            offsets = 0.0 + s.track_offset_sd_km * z[:, 0]
+            z = z[:, 1:]
+        else:
+            offsets = np.asarray(offsets_km, dtype=float)
+            if offsets.shape != (count,):
+                raise HazardError(f"{offsets.shape} offsets for {count} draws")
+            z = rng.standard_normal((count, 4))
+        headings = s.base_heading_deg + s.heading_sd_deg * z[:, 0]
+        pressures = s.pressure_mean_mb + s.pressure_sd_mb * z[:, 1]
+        lo, hi = s.pressure_bounds_mb
+        pressures = np.minimum(np.maximum(pressures, lo), hi)
+        log_rmws = 0.0 + s.rmw_log_sd * z[:, 2]
+        speeds = s.forward_speed_mean_kmh + s.forward_speed_sd_kmh * z[:, 3]
+        lo, hi = s.forward_speed_bounds_kmh
+        speeds = np.minimum(np.maximum(speeds, lo), hi)
+        base = s.base_landfall
+        return [
+            StormParameters(
+                landfall=destination_point(base, (heading + 90.0) % 360.0, offset),
+                heading_deg=heading % 360.0,
+                central_pressure_mb=pressure,
+                rmw_km=s.rmw_median_km * math.exp(log_rmw),
+                forward_speed_kmh=speed,
+                track_offset_km=offset,
+            )
+            for offset, heading, pressure, log_rmw, speed in zip(
+                offsets.tolist(),
+                headings.tolist(),
+                pressures.tolist(),
+                log_rmws.tolist(),
+                speeds.tolist(),
+            )
+        ]
+
     @property
     def block_rows(self) -> int:
-        """Realizations per kernel block (cache-sized; see :func:`block_rows`)."""
+        """Realizations per kernel block: :data:`SURGE_STEPS_PER_BLOCK` surge steps.
+
+        The surge grid runs in cache-sized steps of :func:`block_rows`
+        rows over the nodes it evaluates (the inundation mapper's node
+        support); a block spans several steps, so its per-block Python
+        and numpy call overhead (track columns, smoothing, bookkeeping)
+        is paid once per that many rows.
+        """
         n_times = len(sample_times(-LEAD_HOURS, TRAIL_HOURS, self.surge_params.time_step_h))
-        return block_rows(n_times, self.mesh_size)
+        n_nodes = len(self._mapper.node_support)
+        return SURGE_STEPS_PER_BLOCK * block_rows(n_times, n_nodes)
 
     def realize_block(
         self,
@@ -346,10 +426,13 @@ class EnsembleGenerator:
     ) -> list[HurricaneRealization]:
         """Run the surge + inundation pipeline for a block of parameter draws.
 
-        One kernel for the whole block: (R, T) track columns, the (R, T, N)
-        surge peak in cache-sized row blocks, each row's dropout drawn from
-        its own ``rngs[r]``, then shoreline smoothing and one inland
-        extension per row.  Row ``r`` is bitwise identical to
+        One kernel for the whole block: the parameters' track points as
+        (R, 3) arrays (:func:`linear_track_points`, the points
+        :meth:`StormParameters.to_track` would make), (R, T) track columns
+        from them, the (R, T, n) surge peak over the mapper's node support
+        in cache-sized row steps, each row's dropout drawn from its own
+        ``rngs[r]``, then shoreline smoothing and one inland extension per
+        row.  Row ``r`` is bitwise identical to
         ``realize(indices[r], params[r], rngs[r])`` whatever block it sits
         in.  ``timer``, when given, accumulates seconds under ``track``,
         ``surge`` and ``inundation``.
@@ -360,12 +443,34 @@ class EnsembleGenerator:
                 f"sets and {len(rngs)} rngs"
             )
         t0 = perf_counter()
-        name = self.scenario.name
-        columns = self._surge.track_columns(
-            [p.to_track(f"{name}-r{i}") for i, p in zip(indices, params)]
+        landfall_lat, landfall_lon, heading, speed, pressure, rmw = np.array(
+            [
+                (
+                    p.landfall.lat,
+                    p.landfall.lon,
+                    p.heading_deg,
+                    p.forward_speed_kmh,
+                    p.central_pressure_mb,
+                    p.rmw_km,
+                )
+                for p in params
+            ]
+        ).reshape(-1, 6).T
+        point_times, lat, lon = linear_track_points(
+            landfall_lat, landfall_lon, heading, speed
+        )
+        # A synthesized track keeps its intensity at every point.
+        columns = self._surge.point_columns(
+            point_times,
+            lat,
+            lon,
+            np.broadcast_to(pressure[:, None], lat.shape),
+            np.broadcast_to(rmw[:, None], lat.shape),
         )
         t1 = perf_counter()
-        _, observed, _ = self._surge.peak_block(columns, rngs)
+        _, observed, _ = self._surge.peak_block(
+            columns, rngs, nodes=self._mapper.node_support
+        )
         t2 = perf_counter()
         depths = self._mapper.depth_block(observed)
         assets = self._mapper.asset_names
@@ -396,8 +501,7 @@ class EnsembleGenerator:
         parameter stream is independent of how the realization pass is
         later scheduled (worker count, caching).
         """
-        rng = np.random.default_rng(seed)
-        return [self.sample_parameters(rng) for _ in range(count)]
+        return self.sample_parameter_block(np.random.default_rng(seed), count)
 
     def _realization_rngs(self, count: int, seed: int) -> list[np.random.Generator]:
         """One independent dropout rng per realization, spawned from ``seed``."""

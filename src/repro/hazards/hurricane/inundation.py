@@ -158,6 +158,7 @@ class InundationMapper:
         self.asset_names = catalog.names
         self._elevations = np.array([catalog.get(n).elevation_m for n in self.asset_names])
         self._weights = self._build_weights()
+        self.node_support = self._build_support()
 
     def _basin_for(self, asset_name: str) -> Basin | None:
         """The basin an asset belongs to, if any."""
@@ -217,6 +218,26 @@ class InundationMapper:
             attenuation = float(np.exp(-inland_km / p.inland_decay_km))
             weights[i] = w * attenuation
         return weights
+
+    def _build_support(self) -> np.ndarray:
+        """Sorted indices of the mesh nodes whose WSE can reach an asset.
+
+        A node reaches an asset when its column of the weight matrix is
+        not all zero, or when it lies within ``smoothing_window`` nodes of
+        such a node in the same segment (smoothing reads those
+        neighbours).  The WSE at every other node is multiplied by a zero
+        weight, so a surge kernel may leave it at 0 without changing a
+        depth.
+        """
+        read = np.flatnonzero(self._weights.any(axis=0))
+        window = self.params.smoothing_window
+        support = np.zeros(len(self.mesh), dtype=bool)
+        for seg in self.mesh.segment_slices().values():
+            for i in read[(read >= seg.start) & (read < seg.stop)]:
+                support[max(seg.start, i - window):min(seg.stop, i + window + 1)] = True
+        nodes = np.flatnonzero(support)
+        nodes.flags.writeable = False
+        return nodes
 
     def depth_block(self, wse_rows: np.ndarray) -> np.ndarray:
         """(R, n_assets) inundation depths from an (R, n_nodes) WSE block.

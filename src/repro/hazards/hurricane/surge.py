@@ -21,15 +21,18 @@ several locations") by dropping a random subset of node readings to zero;
 the shoreline-averaging step in :mod:`repro.hazards.hurricane.inundation`
 repairs this exactly as the paper's post-processing does.
 
-One block kernel produces the sweep.  :meth:`SurgeModel.track_columns`
-turns a block of R tracks into (R x timestep) columns of storm scalars --
-the per-segment great-circle speed and bearing are computed once per
-track segment with :mod:`math`, and the interpolation, projection and
-intensity arithmetic is vectorized -- and :meth:`SurgeModel.peak_block`
-evaluates the setup + inverse-barometer physics on the (R x timestep x
-node) grid in cache-sized row blocks (:func:`block_rows`), with in-place
-ufuncs in the reference operand order, reducing to the peak with a max
-over time.  :meth:`SurgeModel.run` is that kernel on a block of one row.
+One block kernel produces the sweep.  :meth:`SurgeModel.point_columns`
+turns R tracks given as (R x point) arrays into (R x timestep) columns of
+storm scalars -- the per-segment great-circle speed and bearing are
+computed once per track segment with :mod:`math`, and the interpolation,
+projection and intensity arithmetic is vectorized;
+:meth:`SurgeModel.track_columns` is its adapter for ``StormTrack``
+objects.  :meth:`SurgeModel.peak_block` evaluates the setup +
+inverse-barometer physics on the (R x timestep x node) grid, optionally
+on a subset of the nodes, in cache-sized row steps (:func:`block_rows`),
+with in-place ufuncs in the reference operand order, reducing to the
+peak with a max over time.  :meth:`SurgeModel.run` is that kernel on a
+block of one row over every node.
 :meth:`SurgeModel.run_reference` keeps the original per-timestep Python
 loop over :meth:`SurgeModel._wse_at_time`; the two are bitwise identical
 (asserted by tests), so the reference path serves as both a correctness
@@ -45,14 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import HazardError
-from repro.geo.coords import (
-    EARTH_RADIUS_KM,
-    haversine_km,
-    initial_bearing_deg,
-    unit_vector_deg,
-)
+from repro.geo.coords import EARTH_RADIUS_KM, bearing_between_deg, great_circle_km
 from repro.hazards.hurricane.mesh import CoastalMesh
-from repro.hazards.hurricane.track import AMBIENT_PRESSURE_MB, StormTrack
+from repro.hazards.hurricane.track import (
+    AMBIENT_PRESSURE_MB,
+    StormTrack,
+    check_track_points,
+    sample_times,
+)
 from repro.hazards.hurricane.wind import (
     AIR_DENSITY_KG_M3,
     ASYMMETRY_FACTOR,
@@ -123,8 +126,33 @@ BLOCK_BYTES = 256 * 1024
 
 
 def block_rows(n_times: int, n_nodes: int) -> int:
-    """Kernel block height: rows whose (rows, T, N) grid is ~BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * n_times * n_nodes))
+    """Kernel block height: rows whose (rows, T, N) grid is ~BLOCK_BYTES.
+
+    An empty node set (no mesh node reaches an asset) counts as one node.
+    """
+    return max(1, BLOCK_BYTES // (8 * n_times * max(1, n_nodes)))
+
+
+def _bracket(
+    point_times: Sequence[float], step_h: float
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Sample times of a track with these point times, and their brackets.
+
+    Brackets each sample time as ``StormTrack._bracket`` does: the first
+    segment ``k`` = (a, b) with a <= t <= b, at fraction (t - a) / (b - a).
+    """
+    times = sample_times(point_times[0], point_times[-1], step_h)
+    segment: list[int] = []
+    fraction: list[float] = []
+    for t in times:
+        for k, (a, b) in enumerate(zip(point_times, point_times[1:])):
+            if a <= t <= b:
+                break
+        else:  # pragma: no cover - sample_times stays inside the track
+            raise HazardError(f"time {t} h not bracketed")
+        segment.append(k)
+        fraction.append((t - a) / (b - a))
+    return times, np.array(segment), np.array(fraction)
 
 
 @dataclass(frozen=True)
@@ -161,12 +189,17 @@ class SurgeModel:
         self._xy = mesh.xy_km
         self._normals = mesh.normals
         self._shelf = mesh.shelf_factors
-        # Contiguous per-node operands of the block kernel.
-        self._node_x = np.ascontiguousarray(self._xy[:, 0])
-        self._node_y = np.ascontiguousarray(self._xy[:, 1])
-        self._normal_x = np.ascontiguousarray(self._normals[:, 0])
-        self._normal_y = np.ascontiguousarray(self._normals[:, 1])
-        self._setup_per_shelf = self.params.setup_coefficient * self._shelf
+        # Per-node operands of the block kernel, one contiguous row each:
+        # x, y, normal x, normal y, setup coefficient x shelf factor.
+        self._node_operands = np.stack(
+            [
+                self._xy[:, 0],
+                self._xy[:, 1],
+                self._normals[:, 0],
+                self._normals[:, 1],
+                self.params.setup_coefficient * self._shelf,
+            ]
+        )
 
     def _wse_at_time(self, track: StormTrack, time_h: float) -> np.ndarray:
         state = track.state_at(time_h)
@@ -193,6 +226,44 @@ class SurgeModel:
     def track_columns(self, tracks: Sequence[StormTrack]) -> TrackColumns:
         """The block's per-timestep storm scalars as (R, T) columns.
 
+        An adapter over :meth:`point_columns` for arbitrary tracks.  The
+        tracks must share their point times (every synthesized track of
+        an ensemble does), so one bracketing serves the whole block.
+        """
+        if not tracks:
+            raise HazardError("a kernel block needs at least one track")
+        point_times = [p.time_h for p in tracks[0].points]
+        if any([p.time_h for p in t.points] != point_times for t in tracks[1:]):
+            raise HazardError("tracks in one kernel block must share their point times")
+
+        def points(attr) -> np.ndarray:
+            return np.array([[attr(p) for p in t.points] for t in tracks])
+
+        return self.point_columns(
+            point_times,
+            points(lambda p: p.center.lat),
+            points(lambda p: p.center.lon),
+            points(lambda p: p.central_pressure_mb),
+            points(lambda p: p.rmw_km),
+        )
+
+    def point_columns(
+        self,
+        point_times: Sequence[float],
+        lat: np.ndarray,
+        lon: np.ndarray,
+        pressure_mb: np.ndarray,
+        rmw_km: np.ndarray,
+    ) -> TrackColumns:
+        """(R, T) storm columns from R tracks given as (R, P) point arrays.
+
+        Row ``r`` is the track through the points (``point_times[k]``,
+        ``lat[r, k]``, ``lon[r, k]``, ``pressure_mb[r, k]``,
+        ``rmw_km[r, k]``).  The points get the checks building a
+        :class:`~repro.hazards.hurricane.track.StormTrack` makes, as one
+        vectorized pass raising the same error types
+        (:func:`~repro.hazards.hurricane.track.check_track_points`).
+
         Evaluates the same expressions :meth:`StormTrack.state_at`,
         :meth:`StormTrack.heading_deg_at`, :meth:`StormTrack.forward_speed_kmh_at`,
         :meth:`LocalProjection.to_xy`, and the wind field's scalar profile use
@@ -201,53 +272,32 @@ class SurgeModel:
         identical to the per-timestep reference sweep.  The great-circle
         speed and bearing are per-segment constants, computed once per track
         segment with :mod:`math`; the Coriolis column keeps ``math.sin``.
-        The tracks must share their point times (every synthesized track of
-        an ensemble does), so one bracketing serves the whole block.
         """
-        if not tracks:
-            raise HazardError("a kernel block needs at least one track")
-        point_times = [p.time_h for p in tracks[0].points]
-        if any([p.time_h for p in t.points] != point_times for t in tracks[1:]):
-            raise HazardError("tracks in one kernel block must share their point times")
-        times = tracks[0].times(self.params.time_step_h)
-        # Bracket each sample time as StormTrack._bracket does: the first
-        # segment (a, b) with a <= t <= b, at fraction (t - a) / (b - a).
-        segment: list[int] = []
-        fraction: list[float] = []
-        for t in times:
-            for k, (a, b) in enumerate(zip(point_times, point_times[1:])):
-                if a <= t <= b:
-                    break
-            else:  # pragma: no cover - track.times() stays inside the track
-                raise HazardError(f"time {t} h not bracketed")
-            segment.append(k)
-            fraction.append((t - a) / (b - a))
-        seg = np.array(segment)
-        frac = np.array(fraction)
+        point_times = tuple(float(t) for t in point_times)
+        lat, lon, pressure, rmw = (
+            np.asarray(a, dtype=float) for a in (lat, lon, pressure_mb, rmw_km)
+        )
+        check_track_points(point_times, lat, lon, pressure, rmw)
+        times, seg, frac = _bracket(point_times, self.params.time_step_h)
 
-        def points(attr) -> np.ndarray:
-            return np.array([[attr(p) for p in t.points] for t in tracks])
+        # Per-segment great-circle motion: the transcendentals on math, one
+        # call per segment, the exact arithmetic vectorized.
+        segment_ends = (lat[:, :-1], lon[:, :-1], lat[:, 1:], lon[:, 1:])
+        ends = [e.ravel().tolist() for e in segment_ends]
+        shape = (len(lat), len(point_times) - 1)
+        distance_km = np.array(list(map(great_circle_km, *ends))).reshape(shape)
+        motion_kmh = distance_km / np.diff(point_times)
+        motion = np.where(motion_kmh > 0.0, motion_kmh / 3.6, 0.0)[:, seg]
+        # unit_vector_deg of each segment's bearing.
+        bearing = np.array(list(map(bearing_between_deg, *ends)))
+        theta = (bearing * _DEG_TO_RAD).tolist()
+        mx = np.array(list(map(math.sin, theta))).reshape(shape)[:, seg]
+        my = np.array(list(map(math.cos, theta))).reshape(shape)[:, seg]
 
-        def interpolate(values: np.ndarray) -> np.ndarray:
-            start = values[:, seg]
-            return start + frac * (values[:, seg + 1] - start)
-
-        n_segments = len(point_times) - 1
-        motion_ms = np.empty((len(tracks), n_segments))
-        mx = np.empty_like(motion_ms)
-        my = np.empty_like(motion_ms)
-        for r, track in enumerate(tracks):
-            for k, (a, b) in enumerate(zip(track.points, track.points[1:])):
-                motion_kmh = haversine_km(a.center, b.center) / (b.time_h - a.time_h)
-                motion_ms[r, k] = motion_kmh / 3.6 if motion_kmh > 0.0 else 0.0
-                mx[r, k], my[r, k] = unit_vector_deg(
-                    initial_bearing_deg(a.center, b.center)
-                )
-
-        lat = interpolate(points(lambda p: p.center.lat))
-        lon = interpolate(points(lambda p: p.center.lon))
-        pressure = interpolate(points(lambda p: p.central_pressure_mb))
-        rmw_km = interpolate(points(lambda p: p.rmw_km))
+        # StormTrack.state_at's interpolation, all four quantities at once.
+        points = np.stack([lat, lon, pressure, rmw])
+        start = points[:, :, seg]
+        lat, lon, pressure, rmw_km = start + frac * (points[:, :, seg + 1] - start)
         origin = self.mesh.projection.origin
         kx = math.cos(math.radians(origin.lat))
         deficit_mb = AMBIENT_PRESSURE_MB - pressure
@@ -259,7 +309,6 @@ class SurgeModel:
             dtype=float,
             count=lat.size,
         ).reshape(lat.shape)
-        motion = motion_ms[:, seg]
         return TrackColumns(
             times=times,
             cx=(lon - origin.lon) * _DEG_TO_RAD * EARTH_RADIUS_KM * kx,
@@ -272,21 +321,23 @@ class SurgeModel:
             vmax=np.maximum(
                 np.sqrt(_HOLLAND_B * deficit_pa / (AIR_DENSITY_KG_M3 * math.e)), 1e-9
             ),
-            drift_x=ASYMMETRY_FACTOR * motion * mx[:, seg],
-            drift_y=ASYMMETRY_FACTOR * motion * my[:, seg],
+            drift_x=ASYMMETRY_FACTOR * motion * mx,
+            drift_y=ASYMMETRY_FACTOR * motion * my,
         )
 
-    def _wse_block(self, c: dict[str, np.ndarray]) -> np.ndarray:
-        """The (R, T, N) WSE grid of one row block, from (R, T, 1) columns.
+    def _wse_block(self, c: dict[str, np.ndarray], operands: np.ndarray) -> np.ndarray:
+        """The (R, T, n) WSE grid of one row block, from (R, T, 1) columns.
 
-        Every elementwise expression mirrors :meth:`_wse_at_time` /
-        :meth:`HollandWindField.wind_vectors` exactly (same ufuncs, same
-        operand order), evaluated in place into a handful of buffers;
-        ``exp(-ratio_b)`` feeds both the gradient wind and the pressure
-        profile, so it is computed once.
+        ``operands`` holds the per-node operand rows of the n nodes
+        evaluated.  Every elementwise expression mirrors
+        :meth:`_wse_at_time` / :meth:`HollandWindField.wind_vectors`
+        exactly (same ufuncs, same operand order), evaluated in place into
+        a handful of buffers; ``exp(-ratio_b)`` feeds both the gradient
+        wind and the pressure profile, so it is computed once.
         """
-        dx = np.subtract(self._node_x, c["cx"])
-        dy = np.subtract(self._node_y, c["cy"])
+        node_x, node_y, normal_x, normal_y, setup_per_shelf = operands
+        dx = np.subtract(node_x, c["cx"])
+        dy = np.subtract(node_y, c["cy"])
         radius_km = np.hypot(dx, dy)
 
         # Holland gradient wind (wind.gradient_wind_ms).
@@ -330,11 +381,11 @@ class SurgeModel:
         wind_y += drift
 
         # Wind setup against the onshore normal (surge._wse_at_time).
-        onshore = np.multiply(wind_x, self._normal_x, out=wind_x)
-        wind_y *= self._normal_y
+        onshore = np.multiply(wind_x, normal_x, out=wind_x)
+        wind_y *= normal_y
         onshore += wind_y
         np.maximum(onshore, 0.0, out=onshore)
-        setup = np.multiply(self._setup_per_shelf, onshore, out=wind_y)
+        setup = np.multiply(setup_per_shelf, onshore, out=wind_y)
         setup *= onshore
         setup *= 1.0 + self.params.wave_setup_fraction
 
@@ -353,26 +404,36 @@ class SurgeModel:
         columns: TrackColumns,
         rngs: Sequence[np.random.Generator | None],
         peak_times: bool = False,
+        nodes: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Peak WSE per node for every track of ``columns``.
 
         Returns ``(raw_peak, observed_peak, peak_time)``, each (R, N);
         ``peak_time`` is computed only when ``peak_times`` is set and is
-        ``None`` otherwise.  The grid is evaluated in row blocks of
-        :func:`block_rows`, so one temporary stays cache-sized whatever R
-        is.  Row ``r``'s dropout draws come from ``rngs[r]`` alone, one
-        row at a time in order (``None`` disables dropout for that row).
+        ``None`` otherwise.  ``nodes``, when given, restricts the grid to
+        those mesh node indices: every other node keeps a peak of 0 and a
+        peak time at the sweep start, and the evaluated nodes' bits do not
+        change.  The grid is evaluated in row blocks of :func:`block_rows`,
+        so one temporary stays cache-sized whatever R is.  Row ``r``'s
+        dropout draws come from ``rngs[r]`` alone, all N of them, one row
+        at a time in order (``None`` disables dropout for that row).
         """
         n_rows = len(columns.pc)
         if len(rngs) != n_rows:
             raise HazardError(f"{len(rngs)} rngs for {n_rows} tracks")
+        n_nodes = len(self.mesh)
+        if nodes is not None and len(nodes) == n_nodes:
+            nodes = None
+        operands = self._node_operands
+        if nodes is not None:
+            operands = operands[:, nodes]
         times = np.asarray(columns.times)
-        peak = np.empty((n_rows, len(self.mesh)))
+        peak = np.empty((n_rows, operands.shape[1]))
         peak_time = np.empty_like(peak) if peak_times else None
-        step = block_rows(len(times), len(self.mesh))
+        step = block_rows(len(times), operands.shape[1])
         for start in range(0, n_rows, step):
             rows = slice(start, start + step)
-            grid = self._wse_block(columns.block(rows))
+            grid = self._wse_block(columns.block(rows), operands)
             raw_max = grid.max(axis=1)
             # The reference loop starts its running peak at 0, so sub-zero
             # WSE never registers and the peak time stays at the sweep start.
@@ -381,11 +442,19 @@ class SurgeModel:
             if peak_time is not None:
                 first_idx = grid.argmax(axis=1)
                 peak_time[rows] = np.where(positive, times[first_idx], times[0])
+        if nodes is not None:
+            peak_all = np.zeros((n_rows, n_nodes))
+            peak_all[:, nodes] = peak
+            peak = peak_all
+            if peak_time is not None:
+                time_all = np.full((n_rows, n_nodes), times[0])
+                time_all[:, nodes] = peak_time
+                peak_time = time_all
         observed = peak.copy()
         if self.params.dropout_probability > 0.0:
             for row, rng in zip(observed, rngs):
                 if rng is not None:
-                    row[rng.random(len(row)) < self.params.dropout_probability] = 0.0
+                    row[rng.random(n_nodes) < self.params.dropout_probability] = 0.0
         return peak, observed, peak_time
 
     def run(self, track: StormTrack, rng: np.random.Generator | None = None) -> SurgeResult:

@@ -11,9 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.errors import HazardError
-from repro.geo.coords import GeoPoint, destination_point, haversine_km, initial_bearing_deg
+import numpy as np
+
+from repro.errors import HazardError, TopologyError
+from repro.geo.coords import (
+    GeoPoint,
+    destination_latlon,
+    haversine_km,
+    initial_bearing_deg,
+)
 
 AMBIENT_PRESSURE_MB = 1013.0
 
@@ -123,6 +131,44 @@ class StormTrack:
         return sample_times(self.start_time_h, self.end_time_h, step_h)
 
 
+def check_track_points(
+    point_times: Sequence[float],
+    lat: np.ndarray,
+    lon: np.ndarray,
+    pressure_mb: np.ndarray,
+    rmw_km: np.ndarray,
+) -> None:
+    """Vectorized :class:`StormTrack` checks for (R, P) float track-point arrays.
+
+    Raises what building the tracks' :class:`~repro.geo.coords.GeoPoint`,
+    :class:`TrackPoint` and :class:`StormTrack` objects would, checked in
+    that order: :class:`~repro.errors.TopologyError` for a coordinate out
+    of range, :class:`~repro.errors.HazardError` for an invalid pressure
+    or radius of maximum winds, too few points, or times that do not
+    strictly increase.
+    """
+    shape = (len(lat), len(point_times))
+    if not shape[0]:
+        raise HazardError("a kernel block needs at least one track")
+    if any(a.shape != shape for a in (lat, lon, pressure_mb, rmw_km)):
+        raise HazardError(f"track point arrays must all have shape {shape}")
+    if not ((-90.0 <= lat) & (lat <= 90.0)).all():
+        raise TopologyError("track latitude out of range [-90, 90]")
+    if not ((-180.0 <= lon) & (lon <= 180.0)).all():
+        raise TopologyError("track longitude out of range [-180, 180]")
+    if not ((850.0 <= pressure_mb) & (pressure_mb < AMBIENT_PRESSURE_MB)).all():
+        raise HazardError(
+            "central pressure is not a valid hurricane pressure "
+            f"(must be in [850, {AMBIENT_PRESSURE_MB}))"
+        )
+    if (rmw_km <= 0.0).any():
+        raise HazardError("radius of maximum winds must be positive")
+    if shape[1] < 2:
+        raise HazardError("a track needs at least 2 points")
+    if any(b <= a for a, b in zip(point_times, point_times[1:])):
+        raise HazardError("track times must be strictly increasing")
+
+
 def sample_times(start_h: float, end_h: float, step_h: float) -> list[float]:
     """Times from ``start_h`` in steps of ``step_h``, closed by ``end_h``."""
     if step_h <= 0.0:
@@ -151,20 +197,63 @@ def synthesize_linear_track(
     The storm moves along ``heading_deg`` and its center passes through
     ``landfall`` at time 0; the track spans ``[-lead_hours, +trail_hours]``.
     """
-    if forward_speed_kmh <= 0.0:
+    times, lats, lons = linear_track_points(
+        [landfall.lat], [landfall.lon], [heading_deg], [forward_speed_kmh],
+        lead_hours, trail_hours,
+    )
+    points = tuple(
+        TrackPoint(t, GeoPoint(lat, lon), central_pressure_mb, rmw_km)
+        for t, lat, lon in zip(times, lats[0].tolist(), lons[0].tolist())
+    )
+    return StormTrack(name, points)
+
+
+def linear_track_points(
+    lat: Sequence[float],
+    lon: Sequence[float],
+    heading_deg: Sequence[float],
+    forward_speed_kmh: Sequence[float],
+    lead_hours: float = LEAD_HOURS,
+    trail_hours: float = TRAIL_HOURS,
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The points of :func:`synthesize_linear_track` for R storms at once.
+
+    Row ``r`` is the storm landing at (``lat[r]``, ``lon[r]``).  Returns
+    ``(point_times, lats, lons)``: the shared times ``[-lead, 0, trail]``
+    and (R, 3) start, landfall and end coordinates, each computed with
+    :func:`~repro.geo.coords.destination_latlon` on plain floats, so
+    every coordinate is bitwise the one the track's points carry.
+    """
+    if np.any(np.asarray(forward_speed_kmh, dtype=float) <= 0.0):
         raise HazardError("forward speed must be positive")
     if lead_hours <= 0.0 or trail_hours <= 0.0:
         raise HazardError("lead and trail durations must be positive")
-    start = destination_point(
-        landfall, (heading_deg + 180.0) % 360.0, forward_speed_kmh * lead_hours
+    lats, lons, headings, speeds = (
+        np.asarray(a, dtype=float).tolist()
+        for a in (lat, lon, heading_deg, forward_speed_kmh)
     )
-    end = destination_point(landfall, heading_deg, forward_speed_kmh * trail_hours)
-    points = (
-        TrackPoint(-lead_hours, start, central_pressure_mb, rmw_km),
-        TrackPoint(0.0, landfall, central_pressure_mb, rmw_km),
-        TrackPoint(trail_hours, end, central_pressure_mb, rmw_km),
+    starts = map(
+        destination_latlon,
+        lats,
+        lons,
+        [(heading + 180.0) % 360.0 for heading in headings],
+        [speed * lead_hours for speed in speeds],
     )
-    return StormTrack(name, points)
+    ends = map(
+        destination_latlon,
+        lats,
+        lons,
+        headings,
+        [speed * trail_hours for speed in speeds],
+    )
+    start = np.array(list(starts)).reshape(-1, 2)
+    end = np.array(list(ends)).reshape(-1, 2)
+    landfall = np.array([lats, lons]).reshape(2, -1)
+    return (
+        [-lead_hours, 0.0, trail_hours],
+        np.stack([start[:, 0], landfall[0], end[:, 0]], axis=1),
+        np.stack([start[:, 1], landfall[1], end[:, 1]], axis=1),
+    )
 
 
 def estimate_max_gradient_wind_ms(pressure_deficit_mb: float, holland_b: float = 1.4) -> float:

@@ -87,10 +87,7 @@ class PlanSampledGenerator:
         """
         rng = np.random.default_rng(seed)
         offsets = self.plan.sample_offsets(count, rng, self.offset_sd_km)
-        return [
-            self.inner.sample_parameters(rng, offset_km=float(offsets[i]))
-            for i in range(count)
-        ]
+        return self.inner.sample_parameter_block(rng, count, offsets_km=offsets)
 
     @property
     def block_rows(self) -> int:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import fields as dataclass_fields
+from functools import lru_cache
 from typing import Sequence
 
 from repro.api import StudyConfig
@@ -58,11 +59,15 @@ DERIVED_AXES = ("category", "threshold")
 _SINGLETON_AXES = ("configurations", "scenarios")
 
 
+@lru_cache(maxsize=len(CATEGORY_PRESSURE_MB))
 def category_generator(category: int) -> EnsembleGenerator:
     """The standard Oahu generator rescaled to a Saffir-Simpson category.
 
-    Building one constructs the coastal mesh; reuse the returned object
-    across studies of the same category (the grid builder does).
+    Building one constructs the coastal mesh and inundation mapping, so
+    each category's generator is built once per process and shared, as
+    :func:`~repro.hazards.hurricane.standard.shared_standard_generator`
+    is: generation methods are pure functions of their arguments, and
+    callers must not mutate the returned object.
     """
     if category not in CATEGORY_PRESSURE_MB:
         raise ConfigurationError(

@@ -103,3 +103,47 @@ class TestSolveDCPowerflow:
         result = solve_dc_powerflow(grid)
         assert [l.key for l in result.overloaded_lines(grid)] == [("g", "l")]
         assert result.max_loading(grid) == pytest.approx(2.0)
+
+
+#: The Honolulu island's dispatch after the west-side plants drop out,
+#: printed with its float reprs: the scalar cascade solves exactly this.
+_ISLAND_DISPATCH = """
+from repro.grid.contingency import _island_info, _island_subgrid, _islands
+from repro.grid.model import build_oahu_grid
+from repro.grid.powerflow import proportional_dispatch
+from repro.grid.storm_impact import damaged_grid
+
+plants = {"Kahe Power Plant", "Kalaeloa Power Plant", "Waiau Power Plant"}
+survivor, shed = damaged_grid(build_oahu_grid(), frozenset(plants))
+dispatch = {}
+for component in _islands(survivor, set()):
+    island = _island_info(survivor, component)
+    sub = _island_subgrid(survivor, island, set())
+    if island.served_mw > 0 and sub.generators:
+        dispatch.update(proportional_dispatch(sub))
+print(repr(sorted(dispatch.items())), repr(shed))
+"""
+
+
+def test_island_dispatch_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", _ISLAND_DISPATCH],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(result.stdout)
+    assert "H-POWER WTE" in outputs[0]
+    assert outputs[0] == outputs[1]

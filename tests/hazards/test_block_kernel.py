@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import build_oahu_catalog, build_oahu_region
+from repro.geo import AssetCatalog, build_oahu_catalog, build_oahu_region
 from repro.geo.coords import GeoPoint
 from repro.hazards.hurricane.ensemble import EnsembleGenerator, StormParameters
 from repro.hazards.hurricane.inundation import (
@@ -33,13 +33,17 @@ from repro.hazards.hurricane.standard import (
 from repro.hazards.hurricane.surge import SurgeModelParams
 
 
-def _generator(**surge) -> EnsembleGenerator:
+def _generator(
+    extension: dict | None = None, catalog: AssetCatalog | None = None, **surge
+) -> EnsembleGenerator:
     return EnsembleGenerator(
         region=build_oahu_region(),
-        catalog=build_oahu_catalog(),
+        catalog=catalog or build_oahu_catalog(),
         scenario=standard_oahu_scenario(),
         surge_params=SurgeModelParams(**surge),
-        extension_params=ExtensionParams(basins=(OAHU_SOUTH_SHORE_BASIN,)),
+        extension_params=ExtensionParams(
+            **(extension or {"basins": (OAHU_SOUTH_SHORE_BASIN,)})
+        ),
     )
 
 
@@ -47,6 +51,26 @@ GENERATORS = {
     "dropout": _generator(),
     "no-dropout": _generator(dropout_probability=0.0),
     "negative-offset": _generator(sea_level_offset_m=-0.6),
+    # Mapper variants: each moves the node support the surge kernel
+    # evaluates, from a strict subset of the mesh to all of it.
+    "no-basin": _generator({}),
+    "window-0": _generator(
+        {"basins": (OAHU_SOUTH_SHORE_BASIN,), "smoothing_window": 0}
+    ),
+    "window-4": _generator(
+        {"basins": (OAHU_SOUTH_SHORE_BASIN,), "smoothing_window": 4}
+    ),
+    "whole-mesh": _generator(
+        {"basins": (OAHU_SOUTH_SHORE_BASIN,), "influence_radius_km": 500.0}
+    ),
+    # One asset 14 km inland whose attenuation underflows to 0: no node
+    # reaches it, so the support is empty and every depth is 0.
+    "empty-support": _generator(
+        {"inland_decay_km": 0.01},
+        catalog=AssetCatalog.from_records(
+            "oahu", [build_oahu_catalog().get("Wahiawa Substation")]
+        ),
+    ),
 }
 
 
@@ -131,6 +155,64 @@ def test_the_oracle_sees_negative_offsets_and_dropout():
 
 
 MESH = GENERATORS["dropout"]._mesh
+
+
+def widened_reads(mapper) -> set[int]:
+    """Nodes within the smoothing window of a weighted node, by brute force."""
+    window = mapper.params.smoothing_window
+    segment = [node.segment_name for node in mapper.mesh.nodes]
+    read = [i for i in range(len(segment)) if np.any(mapper._weights[:, i] != 0.0)]
+    return {
+        j
+        for i in read
+        for j in range(len(segment))
+        if abs(i - j) <= window and segment[i] == segment[j]
+    }
+
+
+@pytest.mark.parametrize("variant", sorted(GENERATORS))
+def test_node_support_is_every_node_a_depth_reads(variant):
+    mapper = GENERATORS[variant]._mapper
+    support = mapper.node_support
+    assert list(support) == sorted(widened_reads(mapper))
+    outside = np.setdiff1d(np.arange(len(MESH)), support)
+    assert not np.any(mapper._weights[:, outside] != 0.0)
+
+
+@pytest.mark.parametrize("variant", sorted(GENERATORS))
+@given(
+    draws=st.lists(storm_parameters, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=8, deadline=None)
+def test_the_support_carries_every_reading_a_depth_reads(variant, draws, seed):
+    """Before the depth clamp at 0 hides anything: extended WSE per asset."""
+    generator = GENERATORS[variant]
+    surge, mapper = generator._surge, generator._mapper
+    support = mapper.node_support
+    columns = surge.track_columns([p.to_track("t") for p in draws])
+
+    def rngs():
+        seqs = np.random.SeedSequence(seed).spawn(len(draws))
+        return [np.random.default_rng(s) for s in seqs]
+
+    raw, full, _ = surge.peak_block(columns, rngs())
+    part_raw, part, _ = surge.peak_block(columns, rngs(), nodes=support)
+    assert np.array_equal(part_raw[:, support], raw[:, support])
+    assert not np.any(np.delete(part_raw, support, axis=1))
+    window = mapper.params.smoothing_window
+    for row_full, row_part in zip(
+        smooth_shoreline(MESH, full, window), smooth_shoreline(MESH, part, window)
+    ):
+        assert np.array_equal(mapper._weights @ row_part, mapper._weights @ row_full)
+
+
+def test_mapper_variants_cover_subsets_and_the_whole_mesh():
+    size = {name: len(g._mapper.node_support) for name, g in GENERATORS.items()}
+    assert size["whole-mesh"] == len(MESH)
+    assert size["empty-support"] == 0
+    assert size["window-0"] < size["dropout"] < size["window-4"] < len(MESH)
+    assert size["no-basin"] < len(MESH)
 
 wse_blocks = st.integers(min_value=1, max_value=6).flatmap(
     lambda rows: st.lists(

@@ -90,3 +90,40 @@ def test_category_axis_builds_generators():
 def test_category_generator_rejects_bad_category():
     with pytest.raises(ConfigurationError, match="category"):
         category_generator(9)
+
+
+def test_category_generator_is_built_once_per_category():
+    assert category_generator(2) is category_generator(2)
+    assert category_generator(1) is not category_generator(2)
+    first = sweep_grid(StudyConfig(n_realizations=10), category=[1, 3])
+    again = sweep_grid(StudyConfig(n_realizations=10), category=[1, 3])
+    assert [c.generator for c in first] == [c.generator for c in again]
+    assert all(a.generator is b.generator for a, b in zip(first, again))
+
+
+def test_shared_category_generators_leave_sweep_results_unchanged():
+    from repro.api import run_study
+    from repro.geo import build_oahu_catalog, build_oahu_region
+    from repro.hazards.hurricane.ensemble import EnsembleGenerator
+    from repro.hazards.hurricane.inundation import ExtensionParams
+    from repro.hazards.hurricane.standard import (
+        OAHU_SOUTH_SHORE_BASIN,
+        oahu_scenario_for_category,
+    )
+    from repro.io.results_io import matrix_to_dict
+    from repro.sweep import run_sweep
+
+    base = StudyConfig(n_realizations=30, configurations=("2", "6-6"))
+    first = run_sweep(sweep_grid(base, category=[2, 3]))
+    again = run_sweep(sweep_grid(base, category=[2, 3]))
+    for category, a, b in zip([2, 3], first.cells, again.cells):
+        assert matrix_to_dict(a.matrix) == matrix_to_dict(b.matrix)
+        # A generator built fresh for the category gives the same study.
+        fresh = EnsembleGenerator(
+            region=build_oahu_region(),
+            catalog=build_oahu_catalog(),
+            scenario=oahu_scenario_for_category(category),
+            extension_params=ExtensionParams(basins=(OAHU_SOUTH_SHORE_BASIN,)),
+        )
+        solo = run_study(base.replace(generator=fresh))
+        assert matrix_to_dict(solo.matrix) == matrix_to_dict(a.matrix)
