@@ -16,8 +16,10 @@ is free.
 
 It also *guards the observability layer's disabled cost*: the full
 ``generate()`` path (run controller + null observer, the default) is
-timed against a bare ``realize_block()`` loop over the same blocks with
-no controller, supervision or telemetry at all, and the script fails if the overhead exceeds ``--max-overhead``
+timed against a bare ``realize_block()`` loop over the same blocks (the
+same parameter rows and replayed dropout draws) with no controller,
+supervision or telemetry at all, and the script fails if the overhead
+exceeds ``--max-overhead``
 (3% by default).  An enabled-observer run is timed alongside for
 comparison.
 
@@ -48,9 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.hazards.hurricane.ensemble import params_from_row
 from repro.hazards.hurricane.inundation import smooth_shoreline_reference
 from repro.hazards.hurricane.standard import DEFAULT_SEED, standard_oahu_generator
 from repro.obs import Observability, activate
+from repro.runtime.streams import SpawnedStreams
 
 
 def time_generation(generator, count: int, seed: int) -> tuple[float, object]:
@@ -59,25 +63,32 @@ def time_generation(generator, count: int, seed: int) -> tuple[float, object]:
     return time.perf_counter() - start, ensemble
 
 
-def time_raw_loop(generator, count: int, seed: int) -> tuple[float, object]:
-    """The un-supervised, un-instrumented baseline: a bare realize_block() loop."""
+def time_raw_loop(generator, count: int, seed: int) -> tuple[float, np.ndarray]:
+    """The un-supervised, un-instrumented baseline: a bare realize_block() loop.
+
+    Each block gets its parameter rows and its replayed dropout draws,
+    the inputs the run controller hands the kernel.
+    """
     start = time.perf_counter()
     params = generator.sample_all_parameters(count, seed)
-    seqs = np.random.SeedSequence(seed).spawn(count)
+    streams = SpawnedStreams(seed)
     rows = generator.block_rows
-    realizations = []
-    for first in range(0, count, rows):
-        block = range(first, min(first + rows, count))
-        realizations += generator.realize_block(
-            block,
-            [params[i] for i in block],
-            [np.random.default_rng(seqs[i]) for i in block],
+    depths = [
+        generator.realize_block(
+            params[first:first + rows],
+            streams.uniforms(range(first, min(first + rows, count)), generator.mesh_size),
         )
-    return time.perf_counter() - start, realizations
+        for first in range(0, count, rows)
+    ]
+    return time.perf_counter() - start, np.concatenate(depths)
 
 
 def time_reference(generator, count: int, seed: int) -> tuple[float, np.ndarray]:
-    """The per-realization reference pipeline; returns its depth matrix."""
+    """The per-realization reference pipeline; returns its depth matrix.
+
+    Its dropout draws come from numpy's own spawned generators, so the
+    comparison also checks the block replay of those streams.
+    """
     start = time.perf_counter()
     params = generator.sample_all_parameters(count, seed)
     seqs = np.random.SeedSequence(seed).spawn(count)
@@ -85,7 +96,7 @@ def time_reference(generator, count: int, seed: int) -> tuple[float, np.ndarray]
     window = mapper.params.smoothing_window
     rows = []
     for i, p in enumerate(params):
-        track = p.to_track(f"{generator.scenario.name}-r{i}")
+        track = params_from_row(p).to_track(f"{generator.scenario.name}-r{i}")
         peak = surge.run_reference(track, np.random.default_rng(seqs[i])).peak_wse_m
         smoothed = smooth_shoreline_reference(generator._mesh, peak, window)
         rows.append(np.maximum(0.0, mapper._weights @ smoothed - mapper._elevations))

@@ -53,7 +53,6 @@ from repro.hazards.hurricane.standard import (
     DEFAULT_REALIZATIONS,
     DEFAULT_SEED,
     shared_standard_generator,
-    standard_oahu_generator,
 )
 from repro.obs.manifest import (
     build_run_manifest,
@@ -566,7 +565,7 @@ def _acquire_ensemble(config: StudyConfig) -> tuple[HazardEnsemble, str | None]:
         return config.ensemble, None if key is None else f"prebuilt-seed-{key}"
     from repro.runtime.controller import RetryPolicy
 
-    generator = config.resolve_generator() or standard_oahu_generator()
+    generator = config.resolve_generator() or shared_standard_generator()
     plan = config.resolve_sampling()
     if plan is not None and plan.name != "plain":
         from repro.sampling.generation import PlanSampledGenerator

@@ -9,25 +9,31 @@ WSE, and the inundation mapper turns it into per-asset depths.
 
 Generation is split into two deterministic passes: a serial parameter pass
 drawing every realization's storm parameters from the single main rng, and
-a realization pass in which realization ``i``'s coarse-mesh dropout rng is
-seeded from ``np.random.SeedSequence(seed).spawn(count)[i]``.  Because no
-rng is shared across realizations in the second pass, the fault-tolerant
-run controller (:mod:`repro.runtime.controller`) parallelizes it over
-worker processes (``n_jobs``) with bit-identical output for any worker
-count -- including across worker retries, pool rebuilds, and checkpointed
-resumes -- and ensembles can round-trip through the on-disk cache
-(``cache_dir``, see :mod:`repro.io.ensemble_cache`) without drift.
+a realization pass in which realization ``i``'s coarse-mesh dropout draws
+are the stream ``np.random.SeedSequence(seed).spawn(count)[i]`` seeds
+(replayed for a whole block at once by
+:class:`~repro.runtime.streams.SpawnedStreams`).  Because no stream is
+shared across realizations in the second pass, the fault-tolerant run
+controller (:mod:`repro.runtime.controller`) parallelizes it over worker
+processes (``n_jobs``) with bit-identical output for any worker count --
+including across worker retries, pool rebuilds, and checkpointed resumes
+-- and ensembles can round-trip through the on-disk cache (``cache_dir``,
+see :mod:`repro.io.ensemble_cache`) without drift.
 
-The parameter pass is array-native
-(:meth:`EnsembleGenerator.sample_parameter_block`): one normal matrix in
-the scalar draw order, with a :class:`StormParameters` built per row.
-The realization pass has one kernel, :meth:`EnsembleGenerator.realize_block`:
-a block of realizations goes from parameter columns through track points,
-track columns, the surge peak on the mesh nodes an asset depth reads,
-per-row dropout and shoreline post-processing together, in blocks of
-:attr:`EnsembleGenerator.block_rows` rows.  A row's bits do not depend on
-the block it sits in, so :meth:`EnsembleGenerator.realize` is the same
-kernel on a block of one row.
+Both passes hand over columns.  The parameter pass
+(:meth:`EnsembleGenerator.sample_parameter_block`) returns the (R, 7)
+:data:`PARAM_COLUMNS` matrix from one normal matrix in the scalar draw
+order.  The realization pass has one kernel,
+:meth:`EnsembleGenerator.realize_block`: a block of parameter rows and
+their dropout draws goes through track points, track columns, the surge
+peak on the mesh nodes an asset depth reads, the dropout mask and
+shoreline post-processing together, to an (R, A) depth block, in blocks
+of :attr:`EnsembleGenerator.block_rows` rows.  A row's bits do not
+depend on the block it sits in, so :meth:`EnsembleGenerator.realize` --
+the scalar reference, drawing from the ``Generator`` it is given -- is
+the same kernel on a block of one row.  :class:`HurricaneEnsemble` holds
+the depth matrix and the parameter matrix; realization objects are built
+only when someone asks for one.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
-from repro.geo.coords import GeoPoint, destination_point
+from repro.geo.coords import GeoPoint, destination_latlon, destination_point
 from repro.geo.region import CoastalRegion
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.hazards.hurricane.inundation import ExtensionParams, InundationField, InundationMapper
@@ -141,50 +147,179 @@ class HurricaneRealization:
         return model.failed_assets(self.inundation.depths_m, rng)
 
 
-@dataclass(frozen=True)
+#: The storm-parameter columns of an ensemble, in order.
+PARAM_COLUMNS = (
+    "landfall_lat",
+    "landfall_lon",
+    "heading_deg",
+    "central_pressure_mb",
+    "rmw_km",
+    "forward_speed_kmh",
+    "track_offset_km",
+)
+
+
+def params_to_row(params: StormParameters) -> list[float]:
+    """Flatten storm parameters into the canonical :data:`PARAM_COLUMNS` row."""
+    return [
+        params.landfall.lat,
+        params.landfall.lon,
+        params.heading_deg,
+        params.central_pressure_mb,
+        params.rmw_km,
+        params.forward_speed_kmh,
+        params.track_offset_km,
+    ]
+
+
+def params_from_row(row) -> StormParameters:
+    """Rebuild storm parameters from a canonical :data:`PARAM_COLUMNS` row."""
+    lat, lon, heading, pressure, rmw, speed, offset = row
+    return StormParameters(
+        landfall=GeoPoint(float(lat), float(lon)),
+        heading_deg=float(heading),
+        central_pressure_mb=float(pressure),
+        rmw_km=float(rmw),
+        forward_speed_kmh=float(speed),
+        track_offset_km=float(offset),
+    )
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` (the caller's array stays writable)."""
+    array = np.asarray(values, dtype=dtype).view()
+    array.flags.writeable = False
+    return array
+
+
 class HurricaneEnsemble:
-    """An ordered collection of hurricane realizations."""
+    """An ordered hurricane ensemble, stored as columns.
 
-    scenario_name: str
-    realizations: tuple[HurricaneRealization, ...]
-    seed: int | None = None
+    The ensemble is its (R, A) depth matrix, the asset order of the
+    matrix's columns, the (R, 7) storm-parameter matrix
+    (:data:`PARAM_COLUMNS`) and each row's realization index.  Every
+    query and every hand-over (analysis, cache, shared memory) reads the
+    matrices.  ``ens[i]``, iteration and :attr:`realizations` build
+    :class:`HurricaneRealization` objects from the rows on first use and
+    keep them.
 
-    def __post_init__(self) -> None:
-        if not self.realizations:
+    Built from ``realizations``, the ensemble converts them to columns
+    once and keeps the given objects as its realizations; otherwise
+    ``asset_names``, ``depths`` and ``params`` give the columns
+    (``indices`` defaults to the row positions).  The matrices are
+    read-only.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        scenario_name: str,
+        realizations: Sequence[HurricaneRealization] | None = None,
+        seed: int | None = None,
+        *,
+        asset_names: Sequence[str] | None = None,
+        depths: np.ndarray | None = None,
+        params: np.ndarray | None = None,
+        indices: Sequence[int] | None = None,
+    ) -> None:
+        cache: list[HurricaneRealization | None] | None = None
+        if realizations is not None:
+            if not (asset_names is None and depths is None and params is None
+                    and indices is None):
+                raise HazardError("build an ensemble from realizations or columns, not both")
+            cache = list(realizations)
+            if not cache:
+                raise HazardError("ensemble must contain at least one realization")
+            asset_names = list(cache[0].inundation.depths_m)
+            try:
+                depths = [[r.inundation.depths_m[n] for n in asset_names] for r in cache]
+            except KeyError as exc:
+                raise HazardError(
+                    f"realizations disagree on their assets: {exc.args[0]!r}"
+                ) from None
+            params = [params_to_row(r.params) for r in cache]
+            indices = [r.index for r in cache]
+        elif asset_names is None or depths is None or params is None:
+            raise HazardError("a columnar ensemble needs asset_names, depths and params")
+        self.scenario_name = scenario_name
+        self.seed = seed
+        self._asset_names = tuple(asset_names)
+        self._depths = _read_only(depths, float)
+        self._params = _read_only(params, float)
+        rows = len(self._depths)
+        self._indices = _read_only(
+            np.arange(rows) if indices is None else indices, np.int64
+        )
+        if rows == 0:
             raise HazardError("ensemble must contain at least one realization")
+        if self._depths.shape != (rows, len(self._asset_names)):
+            raise HazardError(
+                f"{self._depths.shape} depth matrix for {len(self._asset_names)} assets"
+            )
+        if self._params.shape != (rows, len(PARAM_COLUMNS)) or self._indices.shape != (rows,):
+            raise HazardError(f"parameter rows or indices do not match {rows} depth rows")
+        self._columns = {name: i for i, name in enumerate(self._asset_names)}
+        self._cache = cache
+
+    def __getstate__(self) -> dict:
+        # Pickle the columns only; realizations rebuild on demand.
+        return {**self.__dict__, "_cache": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for array in (self._depths, self._params, self._indices):
+            array.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HurricaneEnsemble):
+            return NotImplemented
+        return (
+            self.scenario_name == other.scenario_name
+            and self.seed == other.seed
+            and self._asset_names == other._asset_names
+            and np.array_equal(self._indices, other._indices)
+            and np.array_equal(self._depths, other._depths)
+            and np.array_equal(self._params, other._params)
+        )
 
     def __len__(self) -> int:
-        return len(self.realizations)
+        return len(self._depths)
+
+    def _realization(self, row: int) -> HurricaneRealization:
+        if self._cache is None:
+            self._cache = [None] * len(self)
+        realization = self._cache[row]
+        if realization is None:
+            realization = self._cache[row] = HurricaneRealization(
+                index=int(self._indices[row]),
+                params=params_from_row(self._params[row].tolist()),
+                inundation=InundationField(
+                    depths_m=dict(zip(self._asset_names, self._depths[row].tolist()))
+                ),
+            )
+        return realization
+
+    @property
+    def realizations(self) -> tuple[HurricaneRealization, ...]:
+        """Every row as a :class:`HurricaneRealization` (built once, kept)."""
+        return tuple(self._realization(row) for row in range(len(self)))
 
     def __iter__(self) -> Iterator[HurricaneRealization]:
         return iter(self.realizations)
 
-    def __getitem__(self, index: int) -> HurricaneRealization:
-        return self.realizations[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.realizations[index]
+        return self._realization(range(len(self))[index])
 
     @property
     def asset_names(self) -> list[str]:
-        return list(self.realizations[0].inundation.depths_m)
-
-    def _depth_data(self) -> tuple[np.ndarray, dict[str, int]]:
-        """The cached (R x A) depth matrix and its name -> column index."""
-        try:
-            return self._depth_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        names = self.asset_names
-        matrix = np.array(
-            [[r.inundation.depths_m[n] for n in names] for r in self.realizations]
-        )
-        columns = {name: i for i, name in enumerate(names)}
-        # Frozen dataclass: stash the lazily built cache via object.__setattr__.
-        object.__setattr__(self, "_depth_cache", (matrix, columns))
-        return matrix, columns
+        return list(self._asset_names)
 
     def _column(self, asset_name: str) -> np.ndarray:
-        matrix, columns = self._depth_data()
         try:
-            return matrix[:, columns[asset_name]]
+            return self._depths[:, self._columns[asset_name]]
         except KeyError:
             raise HazardError(f"no inundation data for asset {asset_name!r}") from None
 
@@ -200,18 +335,16 @@ class HurricaneEnsemble:
         return (probs >= 1.0).reshape(depths.shape)
 
     def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) inundation depths."""
-        matrix, _ = self._depth_data()
-        return matrix.copy()
+        """(n_realizations, n_assets) inundation depths (a writable copy)."""
+        return self._depths.copy()
 
     def depth_view(self) -> np.ndarray:
-        """The cached depth matrix without the defensive copy.
+        """The read-only (n_realizations, n_assets) depth matrix itself."""
+        return self._depths
 
-        The batched executor reads this once per analysis; callers must
-        treat it as read-only (it backs every other depth query).
-        """
-        matrix, _ = self._depth_data()
-        return matrix
+    def parameter_view(self) -> np.ndarray:
+        """The read-only (n_realizations, 7) :data:`PARAM_COLUMNS` matrix."""
+        return self._params
 
     def flood_probability(
         self, asset_name: str, fragility: FragilityModel | None = None
@@ -219,20 +352,19 @@ class HurricaneEnsemble:
         """Fraction of realizations in which the asset fails."""
         model = fragility or ThresholdFragility()
         hits = int(np.count_nonzero(self._failure_mask(model, self._column(asset_name))))
-        return hits / len(self.realizations)
+        return hits / len(self)
 
     def joint_flood_probability(
         self, names: Sequence[str], fragility: FragilityModel | None = None
     ) -> float:
         """Fraction of realizations flooding *all* the named assets."""
         model = fragility or ThresholdFragility()
-        matrix, columns = self._depth_data()
         try:
-            cols = [columns[n] for n in names]
+            cols = [self._columns[n] for n in names]
         except KeyError as exc:
             raise HazardError(f"no inundation data for asset {exc.args[0]!r}") from None
-        mask = self._failure_mask(model, matrix[:, cols]).all(axis=1)
-        return int(np.count_nonzero(mask)) / len(self.realizations)
+        mask = self._failure_mask(model, self._depths[:, cols]).all(axis=1)
+        return int(np.count_nonzero(mask)) / len(self)
 
     def conditional_flood_probability(
         self,
@@ -255,9 +387,12 @@ class HurricaneEnsemble:
         if not 1 <= count <= len(self):
             raise HazardError(f"subset size {count} outside [1, {len(self)}]")
         return HurricaneEnsemble(
-            scenario_name=self.scenario_name,
-            realizations=self.realizations[:count],
+            self.scenario_name,
             seed=self.seed,
+            asset_names=self._asset_names,
+            depths=self._depths[:count],
+            params=self._params[:count],
+            indices=self._indices[:count],
         )
 
 
@@ -354,17 +489,19 @@ class EnsembleGenerator:
         count: int,
         *,
         offsets_km: Sequence[float] | None = None,
-    ) -> list[StormParameters]:
-        """``count`` successive :meth:`sample_parameters` draws, as arrays.
+    ) -> np.ndarray:
+        """``count`` successive :meth:`sample_parameters` draws, as columns.
 
-        Consumes ``rng`` exactly as ``count`` calls of
-        :meth:`sample_parameters` (with ``offset_km=offsets_km[i]``) do and
-        returns the same parameters bitwise: the normals are one
-        ``standard_normal((count, k))`` matrix in the scalar draw order
-        (``loc + scale * z`` is how ``rng.normal`` scales one), clipped
-        with ``np.minimum``/``np.maximum``.  ``math.exp`` and the landfall
-        offset stay per element on :mod:`math`, since numpy's vectorized
-        transcendentals may round differently.
+        Returns the (count, 7) :data:`PARAM_COLUMNS` matrix whose row ``i``
+        is ``params_to_row`` of the ``i``-th of ``count`` calls of
+        :meth:`sample_parameters` (with ``offset_km=offsets_km[i]``),
+        bitwise, and consumes ``rng`` exactly as those calls do: the
+        normals are one ``standard_normal((count, k))`` matrix in the
+        scalar draw order (``loc + scale * z`` is how ``rng.normal``
+        scales one), clipped with ``np.minimum``/``np.maximum``.
+        ``math.exp`` and the landfall offset stay per element on
+        :mod:`math`, since numpy's vectorized transcendentals may round
+        differently.
         """
         s = self.scenario
         if offsets_km is None:
@@ -384,24 +521,24 @@ class EnsembleGenerator:
         speeds = s.forward_speed_mean_kmh + s.forward_speed_sd_kmh * z[:, 3]
         lo, hi = s.forward_speed_bounds_kmh
         speeds = np.minimum(np.maximum(speeds, lo), hi)
+        # The landfall is offset perpendicular to the heading (see
+        # sample_parameters), one destination_latlon call per row.
         base = s.base_landfall
-        return [
-            StormParameters(
-                landfall=destination_point(base, (heading + 90.0) % 360.0, offset),
-                heading_deg=heading % 360.0,
-                central_pressure_mb=pressure,
-                rmw_km=s.rmw_median_km * math.exp(log_rmw),
-                forward_speed_kmh=speed,
-                track_offset_km=offset,
+        landfalls = np.array(
+            list(
+                map(
+                    destination_latlon,
+                    [base.lat] * count,
+                    [base.lon] * count,
+                    ((headings + 90.0) % 360.0).tolist(),
+                    offsets.tolist(),
+                )
             )
-            for offset, heading, pressure, log_rmw, speed in zip(
-                offsets.tolist(),
-                headings.tolist(),
-                pressures.tolist(),
-                log_rmws.tolist(),
-                speeds.tolist(),
-            )
-        ]
+        ).reshape(count, 2)
+        rmws = [s.rmw_median_km * math.exp(x) for x in log_rmws.tolist()]
+        return np.column_stack(
+            [landfalls, headings % 360.0, pressures, rmws, speeds, offsets]
+        )
 
     @property
     def block_rows(self) -> int:
@@ -419,43 +556,30 @@ class EnsembleGenerator:
 
     def realize_block(
         self,
-        indices: Sequence[int],
-        params: Sequence[StormParameters],
-        rngs: Sequence[np.random.Generator],
+        params: np.ndarray,
+        uniforms: np.ndarray | None,
         timer: dict[str, float] | None = None,
-    ) -> list[HurricaneRealization]:
-        """Run the surge + inundation pipeline for a block of parameter draws.
+    ) -> np.ndarray:
+        """The (R, A) depth block of R parameter rows, in :attr:`asset_order`.
 
-        One kernel for the whole block: the parameters' track points as
-        (R, 3) arrays (:func:`linear_track_points`, the points
-        :meth:`StormParameters.to_track` would make), (R, T) track columns
-        from them, the (R, T, n) surge peak over the mapper's node support
-        in cache-sized row steps, each row's dropout drawn from its own
-        ``rngs[r]``, then shoreline smoothing and one inland extension per
-        row.  Row ``r`` is bitwise identical to
-        ``realize(indices[r], params[r], rngs[r])`` whatever block it sits
+        ``params`` is an (R, 7) :data:`PARAM_COLUMNS` block and
+        ``uniforms`` the rows' (R, :attr:`mesh_size`) dropout draws
+        (``None``: no dropout).  One kernel for the whole block: the
+        track points as (R, 3) arrays (:func:`linear_track_points`, the
+        points :meth:`StormParameters.to_track` would make), (R, T) track
+        columns from them, the (R, T, n) surge peak over the mapper's node
+        support in cache-sized row steps, the dropout mask, then shoreline
+        smoothing and one inland extension per row.  Row ``r`` is bitwise
+        identical to ``realize`` of that row with a generator whose
+        ``random(mesh_size)`` is ``uniforms[r]``, whatever block it sits
         in.  ``timer``, when given, accumulates seconds under ``track``,
         ``surge`` and ``inundation``.
         """
-        if not len(indices) == len(params) == len(rngs):
-            raise HazardError(
-                f"block of {len(indices)} indices, {len(params)} parameter "
-                f"sets and {len(rngs)} rngs"
-            )
+        params = np.asarray(params, dtype=float)
+        if params.ndim != 2 or params.shape[1] != len(PARAM_COLUMNS):
+            raise HazardError(f"{params.shape} parameter block; rows need {len(PARAM_COLUMNS)} columns")
         t0 = perf_counter()
-        landfall_lat, landfall_lon, heading, speed, pressure, rmw = np.array(
-            [
-                (
-                    p.landfall.lat,
-                    p.landfall.lon,
-                    p.heading_deg,
-                    p.forward_speed_kmh,
-                    p.central_pressure_mb,
-                    p.rmw_km,
-                )
-                for p in params
-            ]
-        ).reshape(-1, 6).T
+        landfall_lat, landfall_lon, heading, pressure, rmw, speed = params[:, :6].T
         point_times, lat, lon = linear_track_points(
             landfall_lat, landfall_lon, heading, speed
         )
@@ -469,33 +593,40 @@ class EnsembleGenerator:
         )
         t1 = perf_counter()
         _, observed, _ = self._surge.peak_block(
-            columns, rngs, nodes=self._mapper.node_support
+            columns, uniforms, nodes=self._mapper.node_support
         )
         t2 = perf_counter()
         depths = self._mapper.depth_block(observed)
-        assets = self._mapper.asset_names
-        realizations = [
-            HurricaneRealization(
-                index=index,
-                params=p,
-                inundation=InundationField(depths_m=dict(zip(assets, row))),
-            )
-            for index, p, row in zip(indices, params, depths.tolist())
-        ]
         if timer is not None:
             t3 = perf_counter()
             for stage, seconds in (
                 ("track", t1 - t0), ("surge", t2 - t1), ("inundation", t3 - t2)
             ):
                 timer[stage] = timer.get(stage, 0.0) + seconds
-        return realizations
+        return depths
 
-    def realize(self, index: int, params: StormParameters, rng: np.random.Generator) -> HurricaneRealization:
-        """Run the surge + inundation pipeline for one parameter draw."""
-        return self.realize_block([index], [params], [rng])[0]
+    def realize(
+        self, index: int, params: StormParameters, rng: np.random.Generator | None
+    ) -> HurricaneRealization:
+        """One realization: the scalar reference of :meth:`realize_block`.
 
-    def sample_all_parameters(self, count: int, seed: int) -> list[StormParameters]:
-        """The serial parameter pass: every realization's storm parameters.
+        The row's dropout draws are ``rng.random(mesh_size)``, taken only
+        when the surge model drops readings (``None`` disables dropout).
+        """
+        uniforms = None
+        if rng is not None and self.surge_params.dropout_probability > 0.0:
+            uniforms = rng.random(self.mesh_size)[None, :]
+        depths = self.realize_block(np.array([params_to_row(params)]), uniforms)[0]
+        return HurricaneRealization(
+            index=index,
+            params=params,
+            inundation=InundationField(
+                depths_m=dict(zip(self._mapper.asset_names, depths.tolist()))
+            ),
+        )
+
+    def sample_all_parameters(self, count: int, seed: int) -> np.ndarray:
+        """The serial parameter pass: every realization's parameter row.
 
         All draws come from the single main rng in realization order, so the
         parameter stream is independent of how the realization pass is
@@ -504,7 +635,11 @@ class EnsembleGenerator:
         return self.sample_parameter_block(np.random.default_rng(seed), count)
 
     def _realization_rngs(self, count: int, seed: int) -> list[np.random.Generator]:
-        """One independent dropout rng per realization, spawned from ``seed``."""
+        """numpy's own per-realization dropout rngs, spawned from ``seed``.
+
+        The reference that :class:`~repro.runtime.streams.SpawnedStreams`
+        replays bitwise; the run controller never builds these.
+        """
         return [
             np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(count)
@@ -526,7 +661,8 @@ class EnsembleGenerator:
         The realization pass is delegated to the fault-tolerant
         :class:`~repro.runtime.controller.RunController`: ``n_jobs``
         parallelizes it over worker processes (bit-identical output for
-        every worker count, because each realization owns a spawned rng),
+        every worker count, because each realization owns a spawned
+        uniform stream),
         failed or hung workers are retried under ``retry`` (a
         :class:`~repro.runtime.controller.RetryPolicy`), and ``faults``
         injects a deterministic
@@ -579,6 +715,7 @@ class EnsembleGenerator:
                     count=count,
                     seed=seed,
                     scenario_name=self.scenario.name,
+                    asset_names=self.asset_order,
                 )
             controller = RunController(
                 self,

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import HazardError
 from repro.geo.coords import GeoPoint, LocalProjection
 from repro.geo.region import CoastalRegion
+
+
+def _frozen(rows) -> np.ndarray:
+    """A read-only array: the mesh computes each geometry array once."""
+    array = np.array(rows)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,9 @@ class MeshNode:
 class CoastalMesh:
     """Shoreline nodes for a region, plus cached planar geometry.
 
+    The geometry arrays (``xy_km``, ``normals``, ``shelf_factors``) are
+    built on first access and kept, read-only.
+
     Nodes are ordered walking the shoreline ring segment by segment, so a
     moving-average window over node indices is a window over physically
     adjacent coastline (as used by the paper's shoreline averaging step).
@@ -50,19 +61,20 @@ class CoastalMesh:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def xy_km(self) -> np.ndarray:
-        """Planar (n, 2) node coordinates in the mesh projection."""
-        return np.array([self.projection.to_xy(n.point) for n in self.nodes])
+        """Planar (n, 2) node coordinates in the mesh projection (read-only)."""
+        return _frozen([self.projection.to_xy(n.point) for n in self.nodes])
 
-    @property
+    @cached_property
     def normals(self) -> np.ndarray:
-        """Planar (n, 2) onshore unit normals."""
-        return np.array([n.onshore_normal for n in self.nodes])
+        """Planar (n, 2) onshore unit normals (read-only)."""
+        return _frozen([n.onshore_normal for n in self.nodes])
 
-    @property
+    @cached_property
     def shelf_factors(self) -> np.ndarray:
-        return np.array([n.shelf_factor for n in self.nodes])
+        """Per-node shelf factors (read-only)."""
+        return _frozen([n.shelf_factor for n in self.nodes])
 
     def nodes_in_segment(self, segment_name: str) -> list[MeshNode]:
         return [n for n in self.nodes if n.segment_name == segment_name]

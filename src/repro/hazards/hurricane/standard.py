@@ -135,7 +135,7 @@ def standard_oahu_ensemble(
     from repro.runtime.controller import RetryPolicy
 
     retry = RetryPolicy.from_options(max_retries, task_timeout)
-    return standard_oahu_generator().generate(
+    return shared_standard_generator().generate(
         count=count,
         seed=seed,
         n_jobs=n_jobs,

@@ -31,7 +31,8 @@ objects.  :meth:`SurgeModel.peak_block` evaluates the setup +
 inverse-barometer physics on the (R x timestep x node) grid, optionally
 on a subset of the nodes, in cache-sized row steps (:func:`block_rows`),
 with in-place ufuncs in the reference operand order, reducing to the
-peak with a max over time.  :meth:`SurgeModel.run` is that kernel on a
+peak with a max over time, then masks the dropped readings given a
+block of uniform draws.  :meth:`SurgeModel.run` is that kernel on a
 block of one row over every node.
 :meth:`SurgeModel.run_reference` keeps the original per-timestep Python
 loop over :meth:`SurgeModel._wse_at_time`; the two are bitwise identical
@@ -402,7 +403,7 @@ class SurgeModel:
     def peak_block(
         self,
         columns: TrackColumns,
-        rngs: Sequence[np.random.Generator | None],
+        uniforms: np.ndarray | None,
         peak_times: bool = False,
         nodes: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -414,14 +415,18 @@ class SurgeModel:
         those mesh node indices: every other node keeps a peak of 0 and a
         peak time at the sweep start, and the evaluated nodes' bits do not
         change.  The grid is evaluated in row blocks of :func:`block_rows`,
-        so one temporary stays cache-sized whatever R is.  Row ``r``'s
-        dropout draws come from ``rngs[r]`` alone, all N of them, one row
-        at a time in order (``None`` disables dropout for that row).
+        so one temporary stays cache-sized whatever R is.  ``uniforms`` is
+        the (R, N) block of dropout draws: node ``j`` of row ``r`` reads 0
+        when ``uniforms[r, j]`` is below the dropout probability (``None``
+        disables dropout).
         """
         n_rows = len(columns.pc)
-        if len(rngs) != n_rows:
-            raise HazardError(f"{len(rngs)} rngs for {n_rows} tracks")
         n_nodes = len(self.mesh)
+        if uniforms is not None and np.shape(uniforms) != (n_rows, n_nodes):
+            raise HazardError(
+                f"{np.shape(uniforms)} dropout draws for {n_rows} tracks "
+                f"on {n_nodes} nodes"
+            )
         if nodes is not None and len(nodes) == n_nodes:
             nodes = None
         operands = self._node_operands
@@ -451,21 +456,22 @@ class SurgeModel:
                 time_all[:, nodes] = peak_time
                 peak_time = time_all
         observed = peak.copy()
-        if self.params.dropout_probability > 0.0:
-            for row, rng in zip(observed, rngs):
-                if rng is not None:
-                    row[rng.random(n_nodes) < self.params.dropout_probability] = 0.0
+        if uniforms is not None and self.params.dropout_probability > 0.0:
+            observed[uniforms < self.params.dropout_probability] = 0.0
         return peak, observed, peak_time
 
     def run(self, track: StormTrack, rng: np.random.Generator | None = None) -> SurgeResult:
         """Sweep the track and return peak WSE per node (block kernel, R = 1).
 
-        ``rng`` drives the coarse-mesh dropout artifact; pass ``None`` to
-        disable dropout (raw physics only).  Bitwise identical to
-        :meth:`run_reference`.
+        ``rng`` drives the coarse-mesh dropout artifact (one
+        ``random(N)`` draw); pass ``None`` to disable dropout (raw physics
+        only).  Bitwise identical to :meth:`run_reference`.
         """
+        uniforms = None
+        if rng is not None and self.params.dropout_probability > 0.0:
+            uniforms = rng.random(len(self.mesh))[None, :]
         peak, observed, peak_time = self.peak_block(
-            self.track_columns([track]), [rng], peak_times=True
+            self.track_columns([track]), uniforms, peak_times=True
         )
         assert peak_time is not None
         return SurgeResult(

@@ -5,8 +5,8 @@ every figure and ablation run, yet the output is a pure function of the
 scenario spec, the surge/extension physics, the mesh spacing, and the
 (count, seed) pair.  This module caches that output under a directory:
 
-- ``<key>.npz`` -- compressed arrays: the (R x A) depth matrix and the
-  (R x 7) storm-parameter matrix.  Binary storage round-trips every float
+- ``<key>.npz`` -- compressed arrays: the ensemble's own (R x A) depth
+  matrix and (R x 7) storm-parameter matrix, written and read as they are.  Binary storage round-trips every float
   bit-exactly (unlike the CSV exchange format in ``realization_io``), so a
   cache-loaded ensemble is *identical* to the generated one.
 - ``<key>.json`` -- a human-readable sidecar with the key inputs, asset
@@ -16,7 +16,7 @@ The key is a sha256 over the canonical JSON of everything the ensemble
 depends on, so editing any physics parameter, the scenario, the mesh
 spacing, the seed, or the count changes the key and the stale entry is
 simply never found.  Corrupt entries (truncated npz, mangled sidecar,
-mismatched shapes) load as a miss and are quarantined to
+mismatched shapes, non-finite depths or parameters) load as a miss and are quarantined to
 ``<name>.corrupt`` so the caller regenerates them without destroying the
 evidence; both files are written atomically (tmp sibling + rename), so a
 writer killed mid-write can never leave a loadable-but-torn entry.
@@ -33,58 +33,23 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.geo.coords import GeoPoint
 from repro.io.atomic import atomic_path, atomic_write_text, quarantine_file
 from repro.obs.observer import current as current_observer
 from repro.hazards.hurricane.ensemble import (
+    PARAM_COLUMNS,
     HurricaneEnsemble,
-    HurricaneRealization,
     HurricaneScenarioSpec,
-    StormParameters,
+    params_from_row,  # noqa: F401 - re-exported (the parameter row codec)
+    params_to_row,  # noqa: F401 - re-exported
 )
-from repro.hazards.hurricane.inundation import ExtensionParams, InundationField
+from repro.hazards.hurricane.inundation import ExtensionParams
 from repro.hazards.hurricane.surge import SurgeModelParams
 from repro.io.scenario_io import scenario_to_dict
 
 # Bump when the stored layout changes; old entries then miss cleanly.
 CACHE_FORMAT_VERSION = 1
 
-PARAM_COLUMNS = (
-    "landfall_lat",
-    "landfall_lon",
-    "heading_deg",
-    "central_pressure_mb",
-    "rmw_km",
-    "forward_speed_kmh",
-    "track_offset_km",
-)
 _PARAM_COLUMNS = PARAM_COLUMNS  # backwards-compatible alias
-
-
-def params_to_row(params: StormParameters) -> list[float]:
-    """Flatten storm parameters into the canonical 7-column row."""
-    return [
-        params.landfall.lat,
-        params.landfall.lon,
-        params.heading_deg,
-        params.central_pressure_mb,
-        params.rmw_km,
-        params.forward_speed_kmh,
-        params.track_offset_km,
-    ]
-
-
-def params_from_row(row) -> StormParameters:
-    """Rebuild storm parameters from a canonical 7-column row."""
-    lat, lon, heading, pressure, rmw, speed, offset = row
-    return StormParameters(
-        landfall=GeoPoint(float(lat), float(lon)),
-        heading_deg=float(heading),
-        central_pressure_mb=float(pressure),
-        rmw_km=float(rmw),
-        forward_speed_kmh=float(speed),
-        track_offset_km=float(offset),
-    )
 
 
 def ensemble_cache_key(
@@ -140,8 +105,8 @@ def save_ensemble_cache(
             f"cannot create ensemble cache directory {str(cache_dir)!r}: {exc}"
         ) from exc
     names = ensemble.asset_names
-    depths = ensemble.depth_matrix()
-    params = np.array([params_to_row(r.params) for r in ensemble.realizations])
+    depths = ensemble.depth_view()
+    params = ensemble.parameter_view()
     with atomic_path(npz_path) as tmp:
         with tmp.open("wb") as handle:
             np.savez_compressed(handle, depths=depths, params=params)
@@ -170,7 +135,8 @@ def load_ensemble_cache(cache_dir: str | Path, key: str) -> HurricaneEnsemble | 
     """Load a cached ensemble, or ``None`` on a miss.
 
     Anything wrong with the entry -- undecodable npz or JSON, key/format
-    mismatch, inconsistent shapes -- is treated as a miss so the caller
+    mismatch, inconsistent shapes, a non-finite depth or parameter -- is
+    treated as a miss so the caller
     regenerates; the torn or corrupt files are quarantined to
     ``<name>.corrupt`` (with a :class:`CorruptArtifactWarning`) rather
     than silently overwritten, so the evidence of the damage survives.
@@ -199,24 +165,26 @@ def load_ensemble_cache(cache_dir: str | Path, key: str) -> HurricaneEnsemble | 
             len(PARAM_COLUMNS),
         ):
             return _quarantine_entry(npz_path, meta_path, "array shape mismatch")
-        realizations = []
-        for i in range(count):
-            realizations.append(
-                HurricaneRealization(
-                    index=i,
-                    params=params_from_row(params[i]),
-                    inundation=InundationField(
-                        depths_m=dict(zip(names, depths[i].tolist()))
-                    ),
-                )
+        if not (np.isfinite(depths).all() and np.isfinite(params).all()):
+            return _quarantine_entry(
+                npz_path, meta_path, "non-finite depths or parameters"
             )
         obs.inc("cache.ensemble.hit")
         return HurricaneEnsemble(
-            scenario_name=meta["scenario_name"],
-            realizations=tuple(realizations),
+            meta["scenario_name"],
             seed=meta["seed"],
+            asset_names=names,
+            depths=depths,
+            params=params,
         )
-    except (KeyError, ValueError, OSError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
+    except (
+        KeyError,
+        TypeError,
+        ValueError,
+        OSError,
+        zipfile.BadZipFile,
+        json.JSONDecodeError,
+    ) as exc:
         return _quarantine_entry(npz_path, meta_path, f"unreadable entry: {exc}")
 
 

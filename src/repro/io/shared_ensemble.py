@@ -255,7 +255,7 @@ class DepthShardBoard:
     of round-tripping the per-asset depth mapping through the result
     pipe's pickler.  Rows are keyed by realization index, every task owns
     exactly one row, and retries rewrite the same bits (realization
-    ``i``'s rng is re-derived at every submission), so a worker dying
+    ``i``'s stream is replayed at every submission), so a worker dying
     mid-write can never corrupt a row that the parent will keep.
 
     The creating process owns the segment and must ``close()`` +
@@ -320,10 +320,6 @@ class DepthShardBoard:
             (int(descriptor["count"]), len(names)), dtype=np.float64, buffer=shm.buf
         )
         return cls(shm, view, names, handle=None)
-
-    def snapshot(self) -> np.ndarray:
-        """A private copy of the full matrix (safe to outlive the segment)."""
-        return np.array(self.view)
 
     def close(self) -> None:
         if self._handle is not None:

@@ -13,9 +13,9 @@ A run's progress lives under ``<cache_dir>/run-<key>/``:
 Every file is written atomically (tmp sibling + ``os.replace``), and the
 manifest is rewritten after each shard flush, so a controller killed at
 *any* instant leaves either the previous or the new consistent state on
-disk.  On resume the store re-verifies everything -- checksum, shapes,
-index ranges, and that each stored parameter row is bit-identical to the
-recomputed serial parameter pass -- and quarantines any shard that fails
+disk.  On resume the store re-verifies everything -- checksum, shapes, finite
+values, index ranges, and that each stored parameter row is bit-identical
+to the recomputed serial parameter pass -- and quarantines any shard that fails
 (``<name>.corrupt`` + :class:`CorruptArtifactWarning`) so only its block
 is regenerated.  Because realization ``i`` is a pure function of
 ``(seed, i)``, an ensemble resumed from shards is bit-identical to an
@@ -28,14 +28,13 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import CheckpointCorruptError
-from repro.hazards.hurricane.ensemble import HurricaneRealization
-from repro.hazards.hurricane.inundation import InundationField
+from repro.hazards.hurricane.ensemble import PARAM_COLUMNS
 from repro.io.atomic import atomic_path, atomic_write_text, quarantine_file
-from repro.io.ensemble_cache import PARAM_COLUMNS, params_from_row, params_to_row
 
 CHECKPOINT_FORMAT_VERSION = 1
 DEFAULT_SHARD_SIZE = 32
@@ -54,7 +53,12 @@ _sha256_of = sha256_of  # backwards-compatible alias
 
 
 class CheckpointStore:
-    """Persists per-realization progress for one (key, count, seed) run."""
+    """Persists per-realization progress for one (key, count, seed) run.
+
+    Progress is held as the run's (count, A) depth matrix and (count, 7)
+    parameter matrix with a completion mask; blocks of rows are recorded
+    and shards written and read as matrices.
+    """
 
     def __init__(
         self,
@@ -63,6 +67,7 @@ class CheckpointStore:
         count: int,
         seed: int | None,
         scenario_name: str,
+        asset_names: Sequence[str],
         shard_size: int = DEFAULT_SHARD_SIZE,
         flush_interval: int | None = None,
     ) -> None:
@@ -75,12 +80,14 @@ class CheckpointStore:
         self.count = count
         self.seed = seed
         self.scenario_name = scenario_name
+        self.asset_names = tuple(asset_names)
         self.shard_size = shard_size
         # How many newly recorded realizations may sit only in memory
         # before partial shards are flushed to disk.
         self.flush_interval = flush_interval or shard_size
-        self._results: dict[int, HurricaneRealization] = {}
-        self._asset_names: list[str] | None = None
+        self.depths = np.zeros((count, len(self.asset_names)))
+        self.params = np.zeros((count, len(PARAM_COLUMNS)))
+        self._done = np.zeros(count, dtype=bool)
         self._dirty_blocks: set[int] = set()
         self._unflushed = 0
 
@@ -94,41 +101,41 @@ class CheckpointStore:
     def shard_path(self, block: int) -> Path:
         return self.run_dir / f"shard-{block:05d}.npz"
 
-    def _block_of(self, index: int) -> int:
-        return index // self.shard_size
-
-    def _block_indices(self, block: int) -> range:
+    def _block_slice(self, block: int) -> slice:
         start = block * self.shard_size
-        return range(start, min(start + self.shard_size, self.count))
+        return slice(start, min(start + self.shard_size, self.count))
 
     # ------------------------------------------------------------------
     # Recording progress
     # ------------------------------------------------------------------
     def completed_indices(self) -> frozenset[int]:
-        return frozenset(self._results)
+        return frozenset(np.flatnonzero(self._done).tolist())
 
     def is_complete(self) -> bool:
-        return len(self._results) == self.count
+        return bool(self._done.all())
 
-    def results(self) -> dict[int, HurricaneRealization]:
-        return dict(self._results)
+    def record(self, indices: Sequence[int], depths: np.ndarray, params: np.ndarray) -> None:
+        """Accept completed rows; flush shards as blocks fill.
 
-    def record(self, realization: HurricaneRealization) -> None:
-        """Accept one completed realization; flush shards as blocks fill."""
-        index = realization.index
-        if not 0 <= index < self.count:
+        Row ``r`` of ``depths`` and ``params`` is realization
+        ``indices[r]``.  Rows already recorded are kept as they are.
+        """
+        index = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if index.size and (index.min() < 0 or index.max() >= self.count):
             raise CheckpointCorruptError(
-                f"realization index {index} outside run of {self.count}"
+                f"realization indices outside run of {self.count}"
             )
-        if self._asset_names is None:
-            self._asset_names = list(realization.inundation.depths_m)
-        if index in self._results:
+        new = ~self._done[index]
+        index = index[new]
+        if not index.size:
             return
-        self._results[index] = realization
-        block = self._block_of(index)
-        self._dirty_blocks.add(block)
-        self._unflushed += 1
-        block_done = all(i in self._results for i in self._block_indices(block))
+        self.depths[index] = np.asarray(depths)[new]
+        self.params[index] = np.asarray(params)[new]
+        self._done[index] = True
+        blocks = set((index // self.shard_size).tolist())
+        self._dirty_blocks |= blocks
+        self._unflushed += len(index)
+        block_done = any(self._done[self._block_slice(b)].all() for b in blocks)
         if block_done or self._unflushed >= self.flush_interval:
             self.flush()
 
@@ -144,25 +151,17 @@ class CheckpointStore:
         self._write_manifest()
 
     def _write_shard(self, block: int) -> None:
-        indices = sorted(
-            i for i in self._block_indices(block) if i in self._results
-        )
-        if not indices:
+        span = self._block_slice(block)
+        indices = np.flatnonzero(self._done[span]) + span.start
+        if not indices.size:
             return
-        depths = np.array(
-            [
-                [self._results[i].inundation.depths_m[n] for n in self._asset_names]
-                for i in indices
-            ]
-        )
-        params = np.array([params_to_row(self._results[i].params) for i in indices])
         with atomic_path(self.shard_path(block)) as tmp:
             with tmp.open("wb") as handle:
                 np.savez_compressed(
                     handle,
-                    indices=np.array(indices, dtype=np.int64),
-                    depths=depths,
-                    params=params,
+                    indices=indices.astype(np.int64),
+                    depths=self.depths[indices],
+                    params=self.params[indices],
                 )
 
     def _write_manifest(self) -> None:
@@ -171,10 +170,9 @@ class CheckpointStore:
             path = self.shard_path(block)
             if not path.exists():
                 continue
-            n = sum(1 for i in self._block_indices(block) if i in self._results)
             shards[str(block)] = {
                 "file": path.name,
-                "rows": n,
+                "rows": int(self._done[self._block_slice(block)].sum()),
                 "sha256": _sha256_of(path),
             }
         manifest = {
@@ -184,8 +182,8 @@ class CheckpointStore:
             "seed": self.seed,
             "scenario_name": self.scenario_name,
             "shard_size": self.shard_size,
-            "asset_names": self._asset_names,
-            "completed": len(self._results),
+            "asset_names": list(self.asset_names),
+            "completed": int(self._done.sum()),
             "shards": shards,
         }
         atomic_write_text(self.manifest_path, json.dumps(manifest, indent=2))
@@ -193,21 +191,23 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Loading / resuming
     # ------------------------------------------------------------------
-    def load(self, expected_params=None) -> dict[int, HurricaneRealization]:
+    def load(self, expected_params: np.ndarray | None = None) -> np.ndarray:
         """Recover verified progress from disk into the store.
 
-        ``expected_params`` is the recomputed serial parameter pass (a
-        sequence indexed by realization); any shard whose stored rows do
+        ``expected_params`` is the recomputed serial parameter pass (the
+        run's (count, 7) parameter matrix); any shard whose stored rows do
         not match it bit-for-bit is quarantined, as are shards with bad
-        checksums, undecodable contents, or out-of-range indices.  The
-        surviving realizations are returned (and retained, so subsequent
-        flushes keep them on disk).
+        checksums, undecodable contents, out-of-range indices, or
+        non-finite depths or parameters.  Returns the sorted indices of
+        the surviving realizations, whose rows now sit in :attr:`depths`
+        and :attr:`params` (and are retained, so subsequent flushes keep
+        them on disk).
         """
-        self._results.clear()
+        self._done[:] = False
         self._dirty_blocks.clear()
         self._unflushed = 0
         if not self.manifest_path.exists():
-            return {}
+            return self._loaded()
         try:
             manifest = json.loads(self.manifest_path.read_text())
             ok = (
@@ -216,15 +216,14 @@ class CheckpointStore:
                 and manifest["count"] == self.count
                 and manifest["seed"] == self.seed
                 and manifest["shard_size"] == self.shard_size
+                and tuple(manifest["asset_names"] or ()) == self.asset_names
             )
         except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
             quarantine_file(self.manifest_path, f"unreadable manifest: {exc}")
-            return {}
+            return self._loaded()
         if not ok:
             quarantine_file(self.manifest_path, "manifest does not match this run")
-            return {}
-        names = manifest.get("asset_names")
-        self._asset_names = list(names) if names else None
+            return self._loaded()
         for block_label, entry in sorted(manifest.get("shards", {}).items()):
             try:
                 block = int(block_label)
@@ -233,59 +232,61 @@ class CheckpointStore:
                 path = self.run_dir / str(entry.get("file", f"shard-{block_label}"))
                 if path.exists():
                     quarantine_file(path, str(exc))
-        return dict(self._results)
+        return self._loaded()
+
+    def _loaded(self) -> np.ndarray:
+        return np.flatnonzero(self._done)
 
     def _load_shard(self, block: int, entry: dict, expected_params) -> None:
+        """Verify one shard as a whole, then take its rows."""
         path = self.run_dir / entry["file"]
         if not path.exists():
             raise CheckpointCorruptError(f"shard file {entry['file']} missing")
         if _sha256_of(path) != entry.get("sha256"):
             raise CheckpointCorruptError("shard checksum mismatch")
-        if self._asset_names is None:
-            raise CheckpointCorruptError("manifest lists shards but no asset names")
         try:
             with np.load(path) as data:
                 indices = data["indices"]
                 depths = data["depths"]
                 params = data["params"]
+            finite = np.isfinite(depths).all() and np.isfinite(params).all()
         except Exception as exc:  # zipfile/np errors: torn write survived checksum?
             raise CheckpointCorruptError(f"undecodable shard: {exc}") from exc
         n = len(indices)
-        if depths.shape != (n, len(self._asset_names)) or params.shape != (
-            n,
-            len(PARAM_COLUMNS),
+        if (
+            indices.ndim != 1
+            or indices.dtype.kind not in "iu"
+            or depths.shape != (n, len(self.asset_names))
+            or params.shape != (n, len(PARAM_COLUMNS))
         ):
             raise CheckpointCorruptError("shard array shapes inconsistent")
-        block_range = self._block_indices(block)
-        for row, raw_index in enumerate(indices):
-            index = int(raw_index)
-            if index not in block_range:
-                raise CheckpointCorruptError(
-                    f"index {index} outside shard block {block}"
-                )
-            stored = params_from_row(params[row])
-            if expected_params is not None and stored != expected_params[index]:
-                raise CheckpointCorruptError(
-                    f"stored parameters for realization {index} diverge from "
-                    "the deterministic parameter pass"
-                )
-            self._results[index] = HurricaneRealization(
-                index=index,
-                params=stored,
-                inundation=InundationField(
-                    depths_m=dict(zip(self._asset_names, depths[row].tolist()))
-                ),
+        if not finite:
+            raise CheckpointCorruptError("non-finite depths or parameters in shard")
+        span = self._block_slice(block)
+        outside = (indices < span.start) | (indices >= span.stop)
+        if outside.any():
+            raise CheckpointCorruptError(
+                f"index {int(indices[outside][0])} outside shard block {block}"
             )
+        if expected_params is not None:
+            drift = (params != np.asarray(expected_params)[indices]).any(axis=1)
+            if drift.any():
+                raise CheckpointCorruptError(
+                    f"stored parameters for realization {int(indices[drift][0])} "
+                    "diverge from the deterministic parameter pass"
+                )
+        self.depths[indices] = depths
+        self.params[indices] = params
+        self._done[indices] = True
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Forget in-memory and on-disk progress (a fresh, non-resumed run)."""
-        self._results.clear()
+        self._done[:] = False
         self._dirty_blocks.clear()
         self._unflushed = 0
-        self._asset_names = None
         if self.run_dir.exists():
             shutil.rmtree(self.run_dir)
 

@@ -8,9 +8,9 @@ task per realization.  Either way it retries retryable failures with
 capped exponential backoff, charging each to the realization that
 raised it, enforces a per-task timeout on hung workers, survives a
 collapsed pool (``BrokenProcessPool`` after a worker is killed),
-validates every returned payload, and streams completed realizations
-into a :class:`~repro.runtime.checkpoint.CheckpointStore` so an
-interrupted run resumes from its shards to a bit-identical ensemble.
+validates every returned payload, and streams completed rows into a
+:class:`~repro.runtime.checkpoint.CheckpointStore` so an interrupted run
+resumes from its shards to a bit-identical ensemble.
 
 Failure taxonomy (see :mod:`repro.errors`):
 
@@ -30,23 +30,30 @@ of which task killed it -- and the pool is rebuilt.  A hung task charges
 only itself; innocent in-flight tasks lost to the rebuild are
 resubmitted without penalty.
 
+Data flow: the parameter pass hands over the (count, 7) parameter
+matrix, each block goes through the kernel as a (rows, 7) parameter
+block plus a (rows, N) block of dropout draws, and comes back as a
+(rows, A) depth block that is validated with one ``isfinite`` and
+written into the run's (count, A) depth matrix -- the matrix the
+returned :class:`~repro.hazards.hurricane.ensemble.HurricaneEnsemble`
+holds.
+
 Determinism: realization ``i`` consumes only the serial parameter pass's
-``params[i]`` and a generator freshly derived from
-``SeedSequence(seed).spawn(count)[i]`` at every (re)submission, and the
-block kernel's rows do not depend on their block, so retries, block
-boundaries, worker counts, pool rebuilds, and resume all produce the
-same bits.
+row ``i`` and the uniform stream of ``SeedSequence(seed).spawn(count)[i]``,
+replayed for the block by :class:`~repro.runtime.streams.SpawnedStreams`
+at every (re)submission (pooled tasks get a ``Generator`` in the same
+replayed state), and the block kernel's rows do not depend on their
+block, so retries, block boundaries, worker counts, pool rebuilds, and
+resume all produce the same bits.
 
 Transport: pooled runs default to the *in-place* depth transport -- a
 parent-owned shared-memory board
 (:class:`~repro.io.shared_ensemble.DepthShardBoard`) that workers write
 each realization's depth row into directly, returning only a light
 :class:`DepthShard` payload instead of pickling the per-asset mapping
-back through the result pipe.  Every row is still validated through the
-same ``_validate`` path, faults and retries behave identically (a retry
-rewrites the same bits), and the finished board primes the ensemble's
-depth-matrix cache.  ``transport="pickle"`` pins the historical
-per-result pickling baseline.
+back through the result pipe.  Every row is still validated, and faults
+and retries behave identically (a retry rewrites the same bits).
+``transport="pickle"`` pins the historical per-result pickling baseline.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -72,12 +78,13 @@ from repro.hazards.hurricane.ensemble import (
     HurricaneEnsemble,
     HurricaneRealization,
     StormParameters,
+    params_from_row,
 )
-from repro.hazards.hurricane.inundation import InundationField
 from repro.io.shared_ensemble import DepthShardBoard
 from repro.obs.observer import current as current_observer
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import FaultPlan
+from repro.runtime.streams import SpawnedStreams
 
 #: Transport choices for pooled runs: how workers return depths.
 TRANSPORTS = ("auto", "inplace", "pickle")
@@ -182,7 +189,9 @@ class RunController:
                 "in-place transport needs a generator exposing asset_order"
             )
         self._board: DepthShardBoard | None = None
-        self._board_matrix: "np.ndarray | None" = None
+        self._params = np.empty((0, 0))
+        self._depths = np.empty((0, 0))
+        self._done = np.zeros(0, dtype=bool)
         self.retries_by_index: dict[int, int] = {}
         self.pool_rebuilds = 0
         self.resumed_realizations = 0
@@ -195,24 +204,29 @@ class RunController:
         """Produce the full ensemble, resuming from shards if asked."""
         obs = self._obs = current_observer()
         with obs.span("ensemble.parameter_pass", count=self.count):
-            params = self.generator.sample_all_parameters(self.count, self.seed)
-            seqs = np.random.SeedSequence(self.seed).spawn(self.count)
-        results: dict[int, HurricaneRealization] = {}
+            self._params = np.asarray(
+                self.generator.sample_all_parameters(self.count, self.seed), dtype=float
+            )
+            streams = SpawnedStreams(self.seed)
+        self._depths = np.empty((self.count, len(self._asset_order)))
+        self._done = np.zeros(self.count, dtype=bool)
         if self.checkpoint is not None:
             if resume:
                 with obs.span("ensemble.checkpoint_load"):
-                    results.update(self.checkpoint.load(expected_params=params))
-                self.resumed_realizations = len(results)
-                if results:
-                    obs.inc("runtime.checkpoint.resumed", len(results))
+                    resumed = self.checkpoint.load(expected_params=self._params)
+                self._depths[resumed] = self.checkpoint.depths[resumed]
+                self._done[resumed] = True
+                self.resumed_realizations = len(resumed)
+                if len(resumed):
+                    obs.inc("runtime.checkpoint.resumed", len(resumed))
                     obs.event(
                         "checkpoint_resume",
-                        realizations=len(results),
+                        realizations=len(resumed),
                         of=self.count,
                     )
             else:
                 self.checkpoint.reset()
-        pending = [i for i in range(self.count) if i not in results]
+        pending = np.flatnonzero(~self._done).tolist()
         try:
             with obs.span(
                 "ensemble.realization_pass",
@@ -220,41 +234,54 @@ class RunController:
                 n_jobs=self.n_jobs,
             ):
                 if self.n_jobs == 1:
-                    self._run_inline(pending, params, seqs, results)
+                    self._run_inline(pending, streams)
                 else:
-                    self._run_pool(pending, params, seqs, results)
+                    self._run_pool(pending, streams)
         finally:
             self._flush()
         obs.inc("runtime.realizations_completed", len(pending))
-        ensemble = HurricaneEnsemble(
-            scenario_name=self.generator.scenario.name,
-            realizations=tuple(results[i] for i in range(self.count)),
+        return HurricaneEnsemble(
+            self.generator.scenario.name,
             seed=self.seed,
+            asset_names=self._asset_order,
+            depths=self._depths,
+            params=self._params,
         )
-        if self._board_matrix is not None:
-            # The in-place transport already holds the full (R x A) depth
-            # matrix: prime the ensemble's lazy cache so the batched
-            # executor never re-walks a million per-realization dicts.
-            columns = {name: i for i, name in enumerate(self._asset_order)}
-            object.__setattr__(
-                ensemble, "_depth_cache", (self._board_matrix, columns)
-            )
-        return ensemble
 
     def _flush(self) -> None:
         if self.checkpoint is not None:
             self.checkpoint.flush()
 
-    def _record(self, results: dict, realization: HurricaneRealization) -> None:
-        results[realization.index] = realization
+    def _record(self, indices: list[int], depths: np.ndarray) -> None:
+        """Settle validated rows: into the run's matrix and the checkpoint."""
+        self._depths[indices] = depths
+        self._done[indices] = True
         if self.checkpoint is not None:
-            self.checkpoint.record(realization)
+            self.checkpoint.record(indices, depths, self._params[indices])
 
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def _accept(self, index: int, payload) -> HurricaneRealization:
-        """Validate one pooled result and rebuild it if it is a shard.
+    def _settle(self, todo: list[int], depths) -> int:
+        """Record a block's leading finite rows; return how many settled.
+
+        One ``isfinite`` checks the whole (rows, A) block.  The rows
+        before the first non-finite one are recorded; the caller charges
+        that row and reruns the rest.
+        """
+        if np.shape(depths) != (len(todo), len(self._asset_order)):
+            raise CorruptResultError(
+                f"block of {len(todo)} realizations returned "
+                f"{np.shape(depths)} depths"
+            )
+        finite = np.isfinite(depths).all(axis=1)
+        settled = len(todo) if finite.all() else int(finite.argmin())
+        if settled:
+            self._record(todo[:settled], depths[:settled])
+        return settled
+
+    def _accept(self, index: int, payload) -> np.ndarray:
+        """Validate one pooled result; return its depth row.
 
         Workers on the in-place transport return a :class:`DepthShard`
         whose depth row already sits on the shared board.  The same
@@ -262,10 +289,9 @@ class RunController:
         finiteness -- but each check runs where it is cheap: the asset
         set was enforced in the worker before the row could land (the
         board's column order *is* the catalog's), the index is compared
-        directly, and finiteness is one vectorized pass over the row
-        instead of a Python walk over the rebuilt mapping.  Any other
-        payload (pickled transport, or a mangled result) goes through
-        ``_validate`` untouched.
+        directly, and finiteness is one vectorized pass over the row.
+        Any other payload (pickled transport, or a mangled result) goes
+        through ``_validate`` untouched.
         """
         if self._board is None or not isinstance(payload, DepthShard):
             return self._validate(index, payload)
@@ -273,18 +299,13 @@ class RunController:
             raise CorruptResultError(
                 f"task {index} returned realization {payload.index}"
             )
-        row = self._board.view[index]
+        row = self._board.view[index].copy()
         if not bool(np.isfinite(row).all()):
             raise CorruptResultError(f"task {index} returned non-finite depths")
-        return HurricaneRealization(
-            index=index,
-            params=payload.params,
-            inundation=InundationField(
-                depths_m=dict(zip(self._board.asset_names, row.tolist()))
-            ),
-        )
+        return row
 
-    def _validate(self, index: int, result) -> HurricaneRealization:
+    def _validate(self, index: int, result) -> np.ndarray:
+        """Check a pooled realization payload; return its depth row."""
         if not isinstance(result, HurricaneRealization):
             raise CorruptResultError(
                 f"task {index} returned {type(result).__name__}, not a realization"
@@ -296,9 +317,10 @@ class RunController:
         depths = result.inundation.depths_m
         if set(depths) != self._expected_assets:
             raise CorruptResultError(f"task {index} returned a wrong asset set")
-        if not all(isfinite(v) for v in depths.values()):
+        row = np.array([depths[name] for name in self._asset_order], dtype=float)
+        if not bool(np.isfinite(row).all()):
             raise CorruptResultError(f"task {index} returned non-finite depths")
-        return result
+        return row
 
     def _classify(self, exc: BaseException) -> RuntimeControlError | None:
         """Map a task failure to the taxonomy; ``None`` means fatal."""
@@ -335,33 +357,34 @@ class RunController:
     # ------------------------------------------------------------------
     # Inline (n_jobs == 1) execution
     # ------------------------------------------------------------------
-    def _run_inline(self, pending, params, seqs, results) -> None:
+    def _run_inline(self, pending: list[int], streams: SpawnedStreams) -> None:
         """Run the pending realizations in process, one kernel block at a time.
 
         With an observer enabled, the generator's per-stage timer becomes
         one aggregate ``ensemble.<stage>`` child span of the realization
-        pass per stage (track, surge, inundation).
+        pass per stage (dropout draws, track, surge, inundation).
         """
         timer: dict[str, float] | None = {} if self._obs.enabled else None
         rows = self.generator.block_rows
         for start in range(0, len(pending), rows):
-            self._run_block(pending[start:start + rows], params, seqs, results, timer)
+            self._run_block(pending[start:start + rows], streams, timer)
         if timer is not None:
             for stage, seconds in timer.items():
                 self._obs.record_span(
                     f"ensemble.{stage}", seconds, realizations=len(pending)
                 )
 
-    def _run_block(self, block, params, seqs, results, timer) -> None:
+    def _run_block(self, block: list[int], streams: SpawnedStreams, timer) -> None:
         """Settle one block, charging each failure to the row that raised it.
 
-        A pre-task fault aborts the pass before the kernel runs; a result
+        A pre-task fault aborts the pass before the kernel runs; a row
         that fails validation leaves the rows before it recorded.  Either
         way the failing row is charged once and the unsettled rows rerun
-        as a block, each with a freshly derived rng, so retries cannot
+        as a block, with their dropout draws replayed, so retries cannot
         change the bits.
         """
         faults = self.faults
+        n_draws = self.generator.mesh_size
         todo = list(block)
         while todo:
             started = time.perf_counter() if timer is not None else 0.0
@@ -373,24 +396,20 @@ class RunController:
                     for index in todo:
                         faults.apply_before(index, self._attempt_of(index), inline=True)
                     index = todo[0]
-                realizations = self.generator.realize_block(
-                    todo,
-                    [params[i] for i in todo],
-                    [np.random.default_rng(seqs[i]) for i in todo],
-                    timer,
-                )
-                if len(realizations) != len(todo):
-                    raise CorruptResultError(
-                        f"block of {len(todo)} realizations returned "
-                        f"{len(realizations)}"
+                drawing = time.perf_counter() if timer is not None else 0.0
+                uniforms = streams.uniforms(todo, n_draws)
+                if timer is not None:
+                    drawn = time.perf_counter() - drawing
+                    timer["dropout"] = timer.get("dropout", 0.0) + drawn
+                depths = self.generator.realize_block(self._params[todo], uniforms, timer)
+                if faults is not None:
+                    depths = faults.mangle_rows(
+                        todo, [self._attempt_of(i) for i in todo], depths
                     )
-                for index, realization in zip(todo, realizations):
-                    if faults is not None:
-                        realization = faults.mangle_result(
-                            index, self._attempt_of(index), realization
-                        )
-                    self._record(results, self._validate(index, realization))
-                    settled += 1
+                settled = self._settle(todo, depths)
+                if settled < len(todo):
+                    index = todo[settled]
+                    raise CorruptResultError(f"task {index} returned non-finite depths")
             except Exception as exc:
                 error = self._classify(exc)
                 if error is None:
@@ -413,7 +432,7 @@ class RunController:
             return False
         return bool(self._asset_order)
 
-    def _publish_board(self, results) -> "DepthShardBoard | None":
+    def _publish_board(self) -> "DepthShardBoard | None":
         """Create the in-place depth board, or ``None`` for pickling.
 
         Rows already settled before the pool starts (checkpoint-resumed
@@ -432,18 +451,12 @@ class RunController:
                     f"in-place transport unavailable: {exc}"
                 ) from exc
             return None
-        for realization in results.values():
-            depths = realization.inundation.depths_m
-            board.view[realization.index, :] = np.fromiter(
-                (depths[name] for name in self._asset_order),
-                dtype=np.float64,
-                count=len(self._asset_order),
-            )
+        board.view[self._done] = self._depths[self._done]
         return board
 
-    def _run_pool(self, pending, params, seqs, results) -> None:
+    def _run_pool(self, pending: list[int], streams: SpawnedStreams) -> None:
         remaining = set(pending)
-        board = self._board = self._publish_board(results)
+        board = self._board = self._publish_board()
         self._obs.event(
             "generation_transport",
             transport="inplace" if board is not None else "pickle",
@@ -462,37 +475,33 @@ class RunController:
                     initargs=initargs,
                 )
                 try:
-                    rebuild = self._drive_pool(
-                        executor, remaining, params, seqs, results
-                    )
+                    rebuild = self._drive_pool(executor, remaining, streams)
                 finally:
                     self._terminate_pool(executor)
                 if rebuild:
                     self.pool_rebuilds += 1
                     self._obs.inc("runtime.pool_rebuilds")
                     self._obs.event("pool_rebuild", remaining=len(remaining))
-            if board is not None:
-                self._board_matrix = board.snapshot()
         finally:
             self._board = None
             if board is not None:
                 board.close()
                 board.unlink()
 
-    def _submit(self, executor, index, params, seqs) -> Future:
+    def _submit(self, executor, index: int, streams: SpawnedStreams) -> Future:
         return executor.submit(
             _run_task,
             index,
             self._attempt_of(index),
-            params[index],
-            np.random.default_rng(seqs[index]),
+            params_from_row(self._params[index]),
+            streams.generator(index),
         )
 
-    def _drive_pool(self, executor, remaining, params, seqs, results) -> bool:
+    def _drive_pool(self, executor, remaining, streams) -> bool:
         """Run tasks on one pool; ``True`` means the pool must be rebuilt."""
         observed = self._obs.enabled
         futures: dict[Future, int] = {
-            self._submit(executor, i, params, seqs): i for i in sorted(remaining)
+            self._submit(executor, i, streams): i for i in sorted(remaining)
         }
         # Submit-to-completion latency per future (includes queueing).
         submitted_at: dict[Future, float] = (
@@ -509,7 +518,7 @@ class RunController:
             for future in done:
                 index = futures.pop(future)
                 try:
-                    realization = self._accept(index, future.result())
+                    row = self._accept(index, future.result())
                 except Exception as exc:
                     submitted_at.pop(future, None)
                     if isinstance(exc, BrokenProcessPool):
@@ -528,7 +537,7 @@ class RunController:
                                 "runtime.realization_s",
                                 time.perf_counter() - started,
                             )
-                    self._record(results, realization)
+                    self._record([index], row[None, :])
                     remaining.discard(index)
             if broken:
                 # The collapse destroyed any evidence of which in-flight
@@ -543,7 +552,7 @@ class RunController:
             for index in retry_now:
                 time.sleep(self.policy.backoff_s(self._attempt_of(index)))
                 try:
-                    future = self._submit(executor, index, params, seqs)
+                    future = self._submit(executor, index, streams)
                     futures[future] = index
                     if observed:
                         submitted_at[future] = time.perf_counter()

@@ -37,6 +37,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -181,8 +182,27 @@ class FaultPlan:
                 raise InjectedCrash(f"injected hang (realization {index}, inline)")
             time.sleep(spec.hang_s)
 
+    def mangle_rows(
+        self, indices: Sequence[int], attempts: Sequence[int], depths: np.ndarray
+    ) -> np.ndarray:
+        """Apply ``corrupt`` faults to a block's depth rows.
+
+        Row ``r`` (realization ``indices[r]`` on attempt ``attempts[r]``)
+        comes back non-finite when a ``corrupt`` fault fires for it.
+        """
+        hit = [
+            row
+            for row, (index, attempt) in enumerate(zip(indices, attempts))
+            if self.action_for(index, attempt) is FaultKind.CORRUPT
+        ]
+        if not hit:
+            return depths
+        depths = np.array(depths, dtype=float)
+        depths[hit] = math.nan
+        return depths
+
     def mangle_result(self, index: int, attempt: int, result):
-        """Apply a ``corrupt`` fault to a completed task's payload."""
+        """Apply a ``corrupt`` fault to a pooled task's realization payload."""
         if self.action_for(index, attempt) is not FaultKind.CORRUPT:
             return result
         depths = {name: math.nan for name in result.inundation.depths_m}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.hazards.hurricane.ensemble import (
     EnsembleGenerator,
     HurricaneEnsemble,
 )
-from repro.hazards.hurricane.standard import standard_oahu_generator
+from repro.hazards.hurricane.standard import shared_standard_generator
 from repro.obs.manifest import (
     build_run_manifest,
     write_json_artifact,
@@ -206,7 +206,7 @@ def run_adaptive_study(
     if obs is None:
         obs = Observability() if config.observability else NULL_OBSERVER
     base = plan.resolved_base()
-    generator = config.resolve_generator() or standard_oahu_generator()
+    generator = config.resolve_generator() or shared_standard_generator()
     if not isinstance(generator, EnsembleGenerator):
         raise ConfigurationError(
             "adaptive sampling requires a hurricane EnsembleGenerator, "
@@ -238,7 +238,8 @@ def run_adaptive_study(
     retry = RetryPolicy.from_options(config.max_retries, config.task_timeout)
     seeds = _round_seeds(config.seed, plan.max_rounds)
     merged: dict[tuple[str, str], WeightedProfile] = {}
-    realizations: list = []
+    rounds_out: list[HurricaneEnsemble] = []
+    total = 0
     weight_blocks: list[np.ndarray] = []
     rounds: list[RoundSummary] = []
     converged = False
@@ -282,11 +283,8 @@ def run_adaptive_study(
                     matrix_r = analysis.run_matrix(
                         architectures, placement, scenarios
                     )
-                offset = len(realizations)
-                realizations.extend(
-                    replace(r, index=offset + i)
-                    for i, r in enumerate(ensemble_r)
-                )
+                rounds_out.append(ensemble_r)
+                total += len(ensemble_r)
                 weight_blocks.append(np.asarray(weights_r, dtype=float))
                 for s_name in scenario_names:
                     for a_name in architecture_names:
@@ -305,7 +303,7 @@ def run_adaptive_study(
                         index=round_index,
                         seed=round_seed,
                         n_realizations=len(ensemble_r),
-                        total_realizations=len(realizations),
+                        total_realizations=total,
                         p_hat=p_hat,
                         rel_ci_halfwidth=rel,
                         ess=target.effective_sample_size,
@@ -313,13 +311,13 @@ def run_adaptive_study(
                 )
                 obs.inc("sampling.rounds")
                 obs.set_gauge("sampling.p_hat", p_hat)
-                obs.set_gauge("sampling.realizations", len(realizations))
+                obs.set_gauge("sampling.realizations", total)
                 if np.isfinite(rel):
                     obs.set_gauge("sampling.ci_rel_halfwidth", rel)
                 if p_hat > 0.0 and rel <= plan.target_rel_ci:
                     converged = True
                     break
-            if not realizations:
+            if not rounds_out:
                 raise ConfigurationError(
                     "adaptive run was cancelled before its first round"
                 )
@@ -329,10 +327,13 @@ def run_adaptive_study(
                     matrix.add(
                         s_name, a_name, merged[(s_name, a_name)]  # type: ignore[arg-type]
                     )
+            # The rounds' columns, concatenated and re-indexed 0..n-1.
             combined = HurricaneEnsemble(
-                scenario_name=generator.scenario.name,
-                realizations=tuple(realizations),
+                generator.scenario.name,
                 seed=config.seed,
+                asset_names=rounds_out[0].asset_names,
+                depths=np.concatenate([e.depth_view() for e in rounds_out]),
+                params=np.concatenate([e.parameter_view() for e in rounds_out]),
             )
             weights_all = np.concatenate(weight_blocks)
     wall_clock_s = time.perf_counter() - start

@@ -10,8 +10,9 @@ Everything downstream is reused verbatim -- the fault-tolerant
 worker retry, bit-identical parallelism), the on-disk ensemble cache,
 and the sweep engine's shared-memory transport -- because the wrapper
 satisfies the exact generator contract those layers consume
-(``catalog``, ``scenario``, ``sample_all_parameters``, ``block_rows``,
-``realize_block``, ``realize``, ``cache_key``, ``generate``).  The
+(``catalog``, ``scenario``, ``asset_order``, ``mesh_size``,
+``sample_all_parameters``, ``block_rows``, ``realize_block``,
+``realize``, ``cache_key``, ``generate``).  The
 controller's in-process pass runs ``realize_block`` over blocks of
 ``block_rows`` pending realizations, so adaptive rounds generate on the
 same block kernel; pooled workers call ``realize`` per realization.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -73,10 +74,14 @@ class PlanSampledGenerator:
         return self.inner.mesh_size
 
     @property
+    def asset_order(self) -> tuple[str, ...]:
+        return self.inner.asset_order
+
+    @property
     def offset_sd_km(self) -> float:
         return float(self.inner.scenario.track_offset_sd_km)
 
-    def sample_all_parameters(self, count: int, seed: int) -> list[StormParameters]:
+    def sample_all_parameters(self, count: int, seed: int) -> np.ndarray:
         """The serial parameter pass with plan-shaped offsets.
 
         One rng, consumed serially: first the plan's offset stream for
@@ -95,15 +100,14 @@ class PlanSampledGenerator:
 
     def realize_block(
         self,
-        indices: Sequence[int],
-        params: Sequence[StormParameters],
-        rngs: Sequence[np.random.Generator],
+        params: np.ndarray,
+        uniforms: np.ndarray | None,
         timer: dict[str, float] | None = None,
-    ) -> "list[HurricaneRealization]":
-        return self.inner.realize_block(indices, params, rngs, timer)
+    ) -> np.ndarray:
+        return self.inner.realize_block(params, uniforms, timer)
 
     def realize(
-        self, index: int, params: StormParameters, rng: np.random.Generator
+        self, index: int, params: StormParameters, rng: np.random.Generator | None
     ) -> "HurricaneRealization":
         return self.inner.realize(index, params, rng)
 

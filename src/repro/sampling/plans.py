@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.states import OperationalState
 from repro.errors import ConfigurationError
+from repro.hazards.hurricane.ensemble import PARAM_COLUMNS, HurricaneEnsemble
 
 __all__ = [
     "SamplingPlan",
@@ -445,7 +446,14 @@ def sampling_from_options(
 # Ensemble introspection shared by weights and the generator wrapper
 # ----------------------------------------------------------------------
 def ensemble_track_offsets(ensemble) -> np.ndarray:
-    """Each realization's stored track offset (km), in index order."""
+    """Each realization's stored track offset (km), in index order.
+
+    A hurricane ensemble answers from its parameter matrix; any other
+    ensemble must carry ``params.track_offset_km`` on its realizations.
+    """
+    if isinstance(ensemble, HurricaneEnsemble):
+        column = PARAM_COLUMNS.index("track_offset_km")
+        return ensemble.parameter_view()[:, column].copy()
     offsets = []
     for realization in ensemble.realizations:
         params = getattr(realization, "params", None)

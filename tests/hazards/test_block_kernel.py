@@ -1,7 +1,8 @@
 """The block kernel against an independent per-realization oracle, bitwise.
 
 ``EnsembleGenerator.realize_block`` evaluates a block of realizations at
-once: (R, T) track columns, the (R, T, N) surge peak, per-row dropout,
+once: (R, T) track columns, the (R, T, N) surge peak, the dropout mask
+from the block's (R, N) uniform draws,
 block shoreline smoothing and one inland extension per row.  The oracle
 here shares none of that code path: per realization it runs the
 per-timestep reference sweep (``SurgeModel.run_reference``), smooths by
@@ -20,7 +21,12 @@ from hypothesis import strategies as st
 
 from repro.geo import AssetCatalog, build_oahu_catalog, build_oahu_region
 from repro.geo.coords import GeoPoint
-from repro.hazards.hurricane.ensemble import EnsembleGenerator, StormParameters
+from repro.hazards.hurricane.ensemble import (
+    EnsembleGenerator,
+    StormParameters,
+    params_from_row,
+    params_to_row,
+)
 from repro.hazards.hurricane.inundation import (
     ExtensionParams,
     smooth_shoreline,
@@ -132,24 +138,28 @@ def test_realize_block_matches_the_oracle_bitwise(variant, draws, ragged, seed):
     for name, blocks in partitions(len(draws), ragged).items():
         rows = []
         for block in blocks:
-            realizations = generator.realize_block(
-                list(block),
-                [draws[i] for i in block],
-                [np.random.default_rng(seqs[i]) for i in block],
+            depths = generator.realize_block(
+                np.array([params_to_row(draws[i]) for i in block]),
+                np.array(
+                    [
+                        np.random.default_rng(seqs[i]).random(generator.mesh_size)
+                        for i in block
+                    ]
+                ),
             )
-            assert [r.index for r in realizations] == list(block)
-            rows += [[r.inundation.depths_m[a] for a in order] for r in realizations]
+            assert depths.shape == (len(block), len(order))
+            rows += depths.tolist()
         assert np.array_equal(np.array(rows), expected), name
 
 
 def test_the_oracle_sees_negative_offsets_and_dropout():
     """The variants really exercise what they name."""
-    params = GENERATORS["dropout"].sample_all_parameters(4, 3)
+    params = params_from_row(GENERATORS["dropout"].sample_all_parameters(4, 3)[0])
     low = GENERATORS["negative-offset"]._surge
-    raw = low.run_reference(params[0].to_track("t")).raw_peak_wse_m
+    raw = low.run_reference(params.to_track("t")).raw_peak_wse_m
     assert np.any(raw == 0.0)  # sub-zero WSE never registers as a peak
     surge = GENERATORS["dropout"]._surge.run(
-        params[0].to_track("t"), np.random.default_rng(0)
+        params.to_track("t"), np.random.default_rng(0)
     )
     assert np.any((surge.peak_wse_m == 0.0) & (surge.raw_peak_wse_m > 0.0))
 
@@ -192,12 +202,11 @@ def test_the_support_carries_every_reading_a_depth_reads(variant, draws, seed):
     support = mapper.node_support
     columns = surge.track_columns([p.to_track("t") for p in draws])
 
-    def rngs():
-        seqs = np.random.SeedSequence(seed).spawn(len(draws))
-        return [np.random.default_rng(s) for s in seqs]
+    seqs = np.random.SeedSequence(seed).spawn(len(draws))
+    uniforms = np.array([np.random.default_rng(s).random(len(MESH)) for s in seqs])
 
-    raw, full, _ = surge.peak_block(columns, rngs())
-    part_raw, part, _ = surge.peak_block(columns, rngs(), nodes=support)
+    raw, full, _ = surge.peak_block(columns, uniforms)
+    part_raw, part, _ = surge.peak_block(columns, uniforms, nodes=support)
     assert np.array_equal(part_raw[:, support], raw[:, support])
     assert not np.any(np.delete(part_raw, support, axis=1))
     window = mapper.params.smoothing_window

@@ -86,6 +86,13 @@ class TestMeshQueries:
         assert mesh.normals.shape == (n, 2)
         assert mesh.shelf_factors.shape == (n,)
 
+    def test_geometry_arrays_are_built_once_and_read_only(self):
+        mesh = build_coastal_mesh(square_region(), spacing_km=2.0)
+        for name in ("xy_km", "normals", "shelf_factors"):
+            array = getattr(mesh, name)
+            assert getattr(mesh, name) is array, name
+            assert not array.flags.writeable, name
+
     def test_xy_roundtrip(self):
         mesh = build_coastal_mesh(square_region(), spacing_km=2.0)
         proj: LocalProjection = mesh.projection

@@ -3,7 +3,7 @@
 ``EnsembleGenerator.sample_parameter_block`` draws a whole block of storm
 parameters from one normal matrix; it must consume the rng exactly as the
 scalar ``sample_parameters`` loop does and return the same parameters
-bitwise.  ``linear_track_points`` + ``SurgeModel.point_columns`` must give
+bitwise, as (count, 7) parameter rows.  ``linear_track_points`` + ``SurgeModel.point_columns`` must give
 the columns ``track_columns`` gives for the ``StormTrack`` objects
 ``StormParameters.to_track`` builds, and reject what those objects reject
 with the same error type.
@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.errors import HazardError, SerializationError, TopologyError
 from repro.geo.coords import GeoPoint
-from repro.hazards.hurricane.ensemble import StormParameters
+from repro.hazards.hurricane.ensemble import (
+    PARAM_COLUMNS,
+    StormParameters,
+    params_from_row,
+    params_to_row,
+)
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.hazards.hurricane.surge import TrackColumns
 from repro.hazards.hurricane.track import linear_track_points
@@ -36,6 +41,12 @@ def with_scenario(**changes):
     generator = standard_oahu_generator()
     generator.scenario = replace(SCENARIO, **changes)
     return generator
+
+
+def as_params(rows) -> list[StormParameters]:
+    """The parameter pass's (count, 7) rows as parameter objects."""
+    assert rows.shape == (len(rows), len(PARAM_COLUMNS))
+    return [params_from_row(row) for row in rows]
 
 
 def scalar_stream(generator, count, seed, offsets=None):
@@ -75,8 +86,8 @@ def test_block_draw_is_the_scalar_stream(generator, seed):
     count = 57
     expected, scalar_rng = scalar_stream(generator, count, seed)
     block_rng = np.random.default_rng(seed)
-    assert generator.sample_parameter_block(block_rng, count) == expected
-    assert generator.sample_all_parameters(count, seed) == expected
+    assert as_params(generator.sample_parameter_block(block_rng, count)) == expected
+    assert as_params(generator.sample_all_parameters(count, seed)) == expected
     # Both leave the rng at the same point of its stream.
     assert block_rng.random() == scalar_rng.random()
 
@@ -88,7 +99,7 @@ def test_clipped_scenario_really_clips():
         forward_speed_sd_kmh=30.0,
         forward_speed_bounds_kmh=(15.0, 20.0),
     )
-    params = generator.sample_all_parameters(200, 3)
+    params = as_params(generator.sample_all_parameters(200, 3))
     pressures = {p.central_pressure_mb for p in params}
     speeds = {p.forward_speed_kmh for p in params}
     assert {968.0, 975.0} <= pressures and {15.0, 20.0} <= speeds
@@ -108,7 +119,7 @@ def test_plan_sampled_pass_is_the_scalar_stream(plan):
         GENERATOR.sample_parameters(rng, offset_km=float(offsets[i]))
         for i in range(count)
     ]
-    assert wrapped.sample_all_parameters(count, seed) == expected
+    assert as_params(wrapped.sample_all_parameters(count, seed)) == expected
 
 
 def test_offsets_must_match_the_count():
@@ -205,9 +216,13 @@ def test_invalid_parameters_raise_what_the_objects_raise(bad):
     params = replace(BASE, **bad)
     with pytest.raises(HazardError) as object_error:
         params.to_track("t")
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    uniforms = np.array(
+        [np.random.default_rng(i).random(GENERATOR.mesh_size) for i in (0, 1)]
+    )
     with pytest.raises(HazardError) as block_error:
-        GENERATOR.realize_block([0, 1], [BASE, params], rngs)
+        GENERATOR.realize_block(
+            np.array([params_to_row(BASE), params_to_row(params)]), uniforms
+        )
     assert type(block_error.value) is type(object_error.value)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SerializationError
+from repro.io.atomic import CorruptArtifactWarning
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.io.ensemble_cache import (
     ensemble_cache_key,
@@ -108,3 +109,18 @@ class TestInvalidation:
         meta["count"] = COUNT + 1
         meta_path.write_text(json.dumps(meta))
         assert load_ensemble_cache(tmp_path, key) is None
+
+    @pytest.mark.parametrize("array", ["depths", "params"])
+    def test_non_finite_entry_is_quarantined(
+        self, generator, ensemble, tmp_path, array
+    ):
+        key = generator.cache_key(COUNT, SEED)
+        npz_path = save_ensemble_cache(ensemble, tmp_path, key)
+        with np.load(npz_path) as data:
+            arrays = dict(data)
+        arrays[array][3, 2] = np.nan
+        with npz_path.open("wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        with pytest.warns(CorruptArtifactWarning, match="non-finite"):
+            assert load_ensemble_cache(tmp_path, key) is None
+        assert npz_path.with_name(npz_path.name + ".corrupt").exists()

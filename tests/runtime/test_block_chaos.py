@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import RetryExhaustedError
 from repro.hazards.hurricane.standard import standard_oahu_generator
-from repro.io.ensemble_cache import params_to_row
+from repro.hazards.hurricane.ensemble import params_from_row, params_to_row
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.controller import RetryPolicy, RunController
 from repro.runtime.faults import FaultPlan
@@ -47,7 +47,8 @@ def oracle(generator, count):
     params = generator.sample_all_parameters(count, SEED)
     rngs = generator._realization_rngs(count, SEED)
     realizations = [
-        generator.realize(i, p, rng) for i, (p, rng) in enumerate(zip(params, rngs))
+        generator.realize(i, params_from_row(p), rng)
+        for i, (p, rng) in enumerate(zip(params, rngs))
     ]
     names = generator.asset_order
     return np.array([[r.inundation.depths_m[n] for n in names] for r in realizations])
@@ -123,7 +124,8 @@ def test_resume_after_a_mid_block_interrupt_is_bit_identical(
     def store() -> CheckpointStore:
         return CheckpointStore(
             run_dir=tmp_path / f"run-{key}", key=key, count=count, seed=SEED,
-            scenario_name=generator.scenario.name, shard_size=4,
+            scenario_name=generator.scenario.name,
+            asset_names=generator.asset_order, shard_size=4,
         )
 
     plan = getattr(FaultPlan(), kind)(index, times=99)
@@ -141,5 +143,5 @@ def test_resume_after_a_mid_block_interrupt_is_bit_identical(
     params = generator.sample_all_parameters(count, SEED)
     assert np.array_equal(
         np.array([params_to_row(r.params) for r in ensemble]),
-        np.array([params_to_row(p) for p in params]),
+        params,
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.io.atomic import CorruptArtifactWarning
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, sha256_of
 from repro.runtime.faults import FaultPlan
 
 COUNT = 20
@@ -25,11 +25,10 @@ def generator():
 
 @pytest.fixture(scope="module")
 def realizations(generator):
-    params = generator.sample_all_parameters(COUNT, SEED)
-    rngs = generator._realization_rngs(COUNT, SEED)
-    return [
-        generator.realize(i, p, rng) for i, (p, rng) in enumerate(zip(params, rngs))
-    ]
+    """The run's rows: (index, depth row, parameter row) per realization."""
+    ensemble = generator.generate(COUNT, SEED)
+    depths, params = ensemble.depth_matrix(), ensemble.parameter_view()
+    return [(i, depths[i:i + 1], params[i:i + 1]) for i in range(COUNT)]
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +36,22 @@ def expected_params(generator):
     return generator.sample_all_parameters(COUNT, SEED)
 
 
+def record(store: CheckpointStore, rows) -> None:
+    """Record realizations one row at a time, as the pooled pass does."""
+    for index, depth_row, param_row in rows:
+        store.record([index], depth_row, param_row)
+
+
 def make_store(tmp_path, **overrides) -> CheckpointStore:
+    from repro.hazards.hurricane.standard import shared_standard_generator
+
     defaults = dict(
         run_dir=tmp_path / "run-abc",
         key="abc",
         count=COUNT,
         seed=SEED,
         scenario_name="oahu-cat2",
+        asset_names=shared_standard_generator().asset_order,
         shard_size=SHARD,
     )
     defaults.update(overrides)
@@ -53,24 +61,21 @@ def make_store(tmp_path, **overrides) -> CheckpointStore:
 class TestRoundTrip:
     def test_full_run_round_trips_bitwise(self, tmp_path, realizations, expected_params):
         store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+        record(store, realizations)
         store.flush()
         assert store.is_complete()
 
         fresh = make_store(tmp_path)
         loaded = fresh.load(expected_params=expected_params)
         assert sorted(loaded) == list(range(COUNT))
-        for r in realizations:
-            got = loaded[r.index]
-            assert got.params == r.params
-            assert got.inundation.depths_m == r.inundation.depths_m
+        for index, depth_row, param_row in realizations:
+            assert np.array_equal(fresh.params[index], param_row[0])
+            assert np.array_equal(fresh.depths[index], depth_row[0])
 
     def test_partial_progress_survives(self, tmp_path, realizations, expected_params):
         store = make_store(tmp_path)
         # Complete one full block and a sliver of another, out of order.
-        for r in realizations[:SHARD] + [realizations[SHARD + 2]]:
-            store.record(r)
+        record(store, realizations[:SHARD] + [realizations[SHARD + 2]])
         store.flush()
 
         loaded = make_store(tmp_path).load(expected_params=expected_params)
@@ -78,24 +83,22 @@ class TestRoundTrip:
 
     def test_no_tmp_siblings_after_flush(self, tmp_path, realizations):
         store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+        record(store, realizations)
         store.flush()
         leftovers = list(store.run_dir.glob("*.tmp"))
         assert leftovers == []
 
     def test_duplicate_records_are_idempotent(self, tmp_path, realizations):
         store = make_store(tmp_path)
-        store.record(realizations[0])
-        store.record(realizations[0])
+        record(store, realizations[:1])
+        record(store, realizations[:1])
         assert store.completed_indices() == frozenset({0})
 
 
 class TestIntegrity:
     def _full_store(self, tmp_path, realizations) -> CheckpointStore:
         store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+        record(store, realizations)
         store.flush()
         return store
 
@@ -130,7 +133,7 @@ class TestIntegrity:
         store.manifest_path.write_text("{ not json")
         with pytest.warns(CorruptArtifactWarning):
             loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert loaded == {}
+        assert len(loaded) == 0
 
     def test_manifest_for_other_run_is_rejected(
         self, tmp_path, realizations, expected_params
@@ -141,7 +144,7 @@ class TestIntegrity:
         store.manifest_path.write_text(json.dumps(manifest))
         with pytest.warns(CorruptArtifactWarning):
             loaded = make_store(tmp_path).load(expected_params=expected_params)
-        assert loaded == {}
+        assert len(loaded) == 0
 
     def test_parameter_drift_is_detected(self, tmp_path, realizations, generator):
         """Stored parameter rows must match the serial pass bit-for-bit."""
@@ -149,7 +152,25 @@ class TestIntegrity:
         drifted = generator.sample_all_parameters(COUNT, SEED + 1)
         with pytest.warns(CorruptArtifactWarning):
             loaded = make_store(tmp_path).load(expected_params=drifted)
-        assert loaded == {}
+        assert len(loaded) == 0
+
+    @pytest.mark.parametrize("array", ["depths", "params"])
+    def test_non_finite_shard_is_quarantined(self, tmp_path, realizations, array):
+        """A shard that decodes and checksums but holds a NaN is corrupt."""
+        store = self._full_store(tmp_path, realizations)
+        victim = store.shard_path(1)
+        with np.load(victim) as data:
+            arrays = dict(data)
+        arrays[array][3, 2] = np.nan
+        with victim.open("wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["shards"]["1"]["sha256"] = sha256_of(victim)
+        store.manifest_path.write_text(json.dumps(manifest))
+        with pytest.warns(CorruptArtifactWarning, match="non-finite"):
+            loaded = make_store(tmp_path).load()
+        assert sorted(loaded) == list(range(SHARD)) + list(range(2 * SHARD, COUNT))
+        assert victim.with_name(victim.name + ".corrupt").exists()
 
     def test_missing_shard_file_is_tolerated(
         self, tmp_path, realizations, expected_params
@@ -163,23 +184,21 @@ class TestIntegrity:
 class TestLifecycle:
     def test_reset_wipes_disk_state(self, tmp_path, realizations):
         store = make_store(tmp_path)
-        for r in realizations:
-            store.record(r)
+        record(store, realizations)
         store.flush()
         store.reset()
         assert not store.run_dir.exists()
-        assert make_store(tmp_path).load() == {}
+        assert len(make_store(tmp_path).load()) == 0
 
     def test_discard_removes_run_dir(self, tmp_path, realizations):
         store = make_store(tmp_path)
-        store.record(realizations[0])
+        record(store, realizations[:1])
         store.flush()
         store.discard()
         assert not store.run_dir.exists()
 
     def test_block_completion_flushes_automatically(self, tmp_path, realizations):
         store = make_store(tmp_path)
-        for r in realizations[:SHARD]:
-            store.record(r)
+        record(store, realizations[:SHARD])
         # The completed block hit the disk without an explicit flush().
         assert store.shard_path(0).exists()

@@ -10,6 +10,7 @@ from repro.errors import (
     RetryExhaustedError,
     RuntimeControlError,
 )
+from repro.hazards.hurricane.ensemble import params_from_row
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.runtime.controller import RetryPolicy, RunController
 from repro.runtime.faults import FaultPlan
@@ -31,7 +32,8 @@ def reference(generator):
     params = generator.sample_all_parameters(COUNT, SEED)
     rngs = generator._realization_rngs(COUNT, SEED)
     return [
-        generator.realize(i, p, rng) for i, (p, rng) in enumerate(zip(params, rngs))
+        generator.realize(i, params_from_row(p), rng)
+        for i, (p, rng) in enumerate(zip(params, rngs))
     ]
 
 
@@ -115,7 +117,7 @@ class TestRetries:
     def test_fatal_model_error_is_not_retried(self, generator, monkeypatch):
         """A deterministic ReproError from the task surfaces immediately."""
 
-        def explode(indices, params, rngs, timer=None):
+        def explode(params, uniforms, timer=None):
             raise HazardError("deterministic modeling bug")
 
         monkeypatch.setattr(generator, "realize_block", explode)

@@ -4,7 +4,7 @@ Pooled runs now default to workers writing each realization's depth row
 straight into a parent-owned :class:`DepthShardBoard` and returning only
 a light :class:`DepthShard` payload.  These tests pin the transport's
 guarantees: bitwise identity with both the pickled baseline and the
-inline oracle, the primed depth-matrix cache, in-worker asset-set
+inline oracle, the board's rows as the ensemble's matrix, in-worker asset-set
 validation, and fault-tolerance parity (a corrupt row is caught by the
 same validation path and overwritten by the retry).
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CorruptResultError, RuntimeControlError
+from repro.hazards.hurricane.ensemble import params_from_row
 from repro.hazards.hurricane.standard import standard_oahu_generator
 from repro.io.shared_ensemble import DepthShardBoard
 from repro.runtime import controller as controller_mod
@@ -37,7 +38,8 @@ def oracle(generator):
     params = generator.sample_all_parameters(COUNT, SEED)
     rngs = generator._realization_rngs(COUNT, SEED)
     return [
-        generator.realize(i, p, rng) for i, (p, rng) in enumerate(zip(params, rngs))
+        generator.realize(i, params_from_row(p), rng)
+        for i, (p, rng) in enumerate(zip(params, rngs))
     ]
 
 
@@ -76,21 +78,26 @@ class TestBitwiseIdentity:
         assert [r.index for r in inplace] == list(range(COUNT))
 
     def test_inplace_primes_the_depth_cache(self, generator, oracle):
+        """The board's rows become the ensemble's depth matrix."""
         ensemble = RunController(
             generator, COUNT, SEED, n_jobs=2, transport="inplace"
         ).run()
-        assert hasattr(ensemble, "_depth_cache")
-        primed, columns = ensemble._depth_cache
+        primed = ensemble.depth_view()
         assert np.array_equal(primed, _depths(oracle))
-        assert list(columns) == list(generator.asset_order)
-        # The cache must be a private copy: the segment is gone by now.
-        assert primed.base is None or primed.flags.owndata
+        assert ensemble.asset_names == list(generator.asset_order)
+        # The matrix must be private memory: the segment is gone by now.
+        owner = primed
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.flags.owndata
 
     def test_pickled_transport_stays_lazy(self, generator):
+        """No realization objects are built until someone asks for one."""
         ensemble = RunController(
             generator, COUNT, SEED, n_jobs=2, transport="pickle"
         ).run()
-        assert not hasattr(ensemble, "_depth_cache")
+        assert ensemble._cache is None
+        assert ensemble[3].index == 3
 
 
 class TestFaultParity:
@@ -103,7 +110,7 @@ class TestFaultParity:
         ensemble = ctl.run()
         assert ctl.retries_by_index[5] == 1
         assert np.array_equal(ensemble.depth_matrix(), _depths(oracle))
-        assert np.isfinite(ensemble._depth_cache[0]).all()
+        assert np.isfinite(ensemble.depth_view()).all()
 
     def test_killed_worker_survives_on_inplace_transport(self, generator, oracle):
         plan = FaultPlan().kill(3, times=1)
@@ -172,9 +179,8 @@ class TestBoardRoundTrip:
             attached = DepthShardBoard.attach(board.descriptor)
             attached.view[2, :] = (1.5, 2.5)
             assert board.view[2].tolist() == [1.5, 2.5]
-            snap = board.snapshot()
-            attached.view[2, 0] = 9.0
-            assert snap[2, 0] == 1.5  # snapshot is a private copy
+            board.view[0, 1] = 4.0
+            assert attached.view[0].tolist() == [0.0, 4.0]
             attached.close()
         finally:
             board.close()
