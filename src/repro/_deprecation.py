@@ -7,7 +7,9 @@ the record, so every public deprecation is guaranteed to name its
 removal release (``tests/integration/test_deprecations.py`` asserts
 this), and grepping for ``removal_release`` before cutting a major
 release yields the full runway in one place.  Release 2.0.0 removed
-every surface the 1.x line had deprecated, so the registry starts empty.
+every surface the 1.x line had deprecated; the 3.0.0 runway holds the
+``transport=`` argument of pooled generation, whose value is ignored
+since pooled runs ship row blocks through one path.
 """
 
 from __future__ import annotations
@@ -54,6 +56,18 @@ def register_deprecation(
     record = Deprecation(name, replacement, removal_release)
     _REGISTRY[name] = record
     return record
+
+
+register_deprecation(
+    "EnsembleGenerator.generate(transport=...)",
+    "generate(..., n_jobs=...) alone (pooled runs have one block transport)",
+    removal_release="3.0.0",
+)
+register_deprecation(
+    "RunController(transport=...)",
+    "RunController(..., n_jobs=...) alone (pooled runs have one block transport)",
+    removal_release="3.0.0",
+)
 
 
 def get_deprecation(name: str) -> Deprecation:

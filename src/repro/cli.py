@@ -592,7 +592,8 @@ def _add_perf_args(p: argparse.ArgumentParser) -> None:
         "--task-timeout",
         type=float,
         default=None,
-        help="seconds before a running realization is declared hung and "
+        help="seconds before a running generation block (one pool task of "
+        "~112 realizations) is declared hung, its rows charged a retry and "
         "its worker replaced (default: no timeout)",
     )
 
@@ -901,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout",
         type=float,
         default=None,
-        help="seconds before a generation worker is declared hung "
-        "(default: no timeout)",
+        help="seconds before a generation block (one pool task) is "
+        "declared hung (default: no timeout)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -433,8 +433,8 @@ class EnsembleGenerator:
         """Asset names in depth-mapping order (the catalog's order).
 
         Every realization's ``depths_m`` mapping iterates in exactly this
-        order; the run controller's in-place shared-memory transport
-        relies on it to lay depth rows out column-for-column.
+        order, and so do the columns of every depth block the run
+        controller settles.
         """
         return tuple(self._mapper.asset_names)
 
@@ -654,22 +654,23 @@ class EnsembleGenerator:
         resume: bool = False,
         retry: "RetryPolicy | None" = None,
         faults: "FaultPlan | None" = None,
-        transport: str = "auto",
+        transport: str | None = None,
     ) -> HurricaneEnsemble:
         """Generate a full ensemble deterministically from ``seed``.
 
         The realization pass is delegated to the fault-tolerant
-        :class:`~repro.runtime.controller.RunController`: ``n_jobs``
-        parallelizes it over worker processes (bit-identical output for
-        every worker count, because each realization owns a spawned
-        uniform stream),
+        :class:`~repro.runtime.controller.RunController`, which runs it
+        as :attr:`block_rows`-row blocks of the block kernel.
+        ``n_jobs > 1`` ships those blocks to a pool of
+        ``min(n_jobs, blocks)`` worker processes (bit-identical output
+        for every worker count, because each realization owns a spawned
+        uniform stream; docs/performance.md has the measured scaling),
         failed or hung workers are retried under ``retry`` (a
         :class:`~repro.runtime.controller.RetryPolicy`), and ``faults``
         injects a deterministic
         :class:`~repro.runtime.faults.FaultPlan` for chaos testing.
-        ``transport`` picks how pooled workers return depths: ``"auto"``
-        (in-place shared-memory rows when pooled), ``"inplace"``, or
-        ``"pickle"`` (the historical per-result pickling baseline).
+        ``transport`` is deprecated (removal in 3.0.0) and ignored:
+        pooled runs have one block transport.
 
         ``cache_dir`` names an on-disk cache directory: a hit (same
         scenario, surge/extension physics, mesh spacing, seed, and count)
@@ -685,6 +686,10 @@ class EnsembleGenerator:
             raise HazardError("n_jobs must be at least 1")
         if resume and cache_dir is None:
             raise HazardError("resume requires a cache_dir to hold checkpoints")
+        if transport is not None:
+            from repro._deprecation import warn_deprecated
+
+            warn_deprecated("EnsembleGenerator.generate(transport=...)")
         from repro.obs.observer import current as current_observer
 
         obs = current_observer()
@@ -725,7 +730,6 @@ class EnsembleGenerator:
                 policy=retry,
                 faults=faults,
                 checkpoint=checkpoint,
-                transport=transport,
             )
             ensemble = controller.run(resume=resume)
             if cache_dir is not None:

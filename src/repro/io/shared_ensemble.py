@@ -35,7 +35,7 @@ under its siblings.
 from __future__ import annotations
 
 import atexit
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.hazards.fragility import FragilityModel, ThresholdFragility
 __all__ = [
     "ArrayBackedEnsemble",
     "DepthRealization",
-    "DepthShardBoard",
     "SharedEnsembleHandle",
     "publish_shared_ensemble",
     "attach_shared_ensemble",
@@ -238,103 +237,6 @@ def publish_shared_ensemble(ensemble: object) -> SharedEnsembleHandle | None:
         shm.unlink()
         raise
     return SharedEnsembleHandle(shm, descriptor)
-
-
-# ----------------------------------------------------------------------
-# In-place generation transport (writable board)
-# ----------------------------------------------------------------------
-class DepthShardBoard:
-    """A parent-owned *writable* (R x A) float64 depth matrix in shared memory.
-
-    :func:`publish_shared_ensemble` ships a finished ensemble's depths to
-    analysis workers read-only; this board is the generation-side mirror
-    of that idea, pointed the other way.  The run controller
-    (:mod:`repro.runtime.controller`) creates one board per pooled
-    generation run; each worker writes its realization's depth row
-    straight into the segment and returns a light index payload instead
-    of round-tripping the per-asset depth mapping through the result
-    pipe's pickler.  Rows are keyed by realization index, every task owns
-    exactly one row, and retries rewrite the same bits (realization
-    ``i``'s stream is replayed at every submission), so a worker dying
-    mid-write can never corrupt a row that the parent will keep.
-
-    The creating process owns the segment and must ``close()`` +
-    ``unlink()`` it (the owner side registers with the same ``atexit``
-    sweep as published ensembles); workers attach untracked and only ever
-    ``close()``.
-    """
-
-    def __init__(self, shm, view: np.ndarray, asset_names: tuple[str, ...],
-                 handle: "SharedEnsembleHandle | None") -> None:
-        self._shm = shm
-        self.view = view
-        self.asset_names = asset_names
-        self._handle = handle  # owner side only
-
-    @classmethod
-    def create(cls, count: int, asset_names: Sequence[str]) -> "DepthShardBoard":
-        """Allocate a zeroed ``(count, len(asset_names))`` board (owner side)."""
-        from multiprocessing import shared_memory
-
-        names = tuple(str(n) for n in asset_names)
-        if count < 1 or not names:
-            raise SerializationError("depth board needs rows and asset names")
-        nbytes = count * len(names) * np.dtype(np.float64).itemsize
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        try:
-            view = np.ndarray((count, len(names)), dtype=np.float64, buffer=shm.buf)
-            view[...] = 0.0
-            descriptor = {
-                "kind": "shm-board",
-                "name": shm.name,
-                "count": int(count),
-                "asset_names": list(names),
-            }
-            handle = SharedEnsembleHandle(shm, descriptor)
-        except Exception:
-            shm.close()
-            shm.unlink()
-            raise
-        return cls(shm, view, names, handle)
-
-    @property
-    def descriptor(self) -> dict:
-        """The small JSON-able payload workers attach from."""
-        return {
-            "kind": "shm-board",
-            "name": self._shm.name,
-            "count": int(self.view.shape[0]),
-            "asset_names": list(self.asset_names),
-        }
-
-    @classmethod
-    def attach(cls, descriptor: Mapping) -> "DepthShardBoard":
-        """Map an existing board writable, untracked (worker side)."""
-        if descriptor.get("kind") != "shm-board":
-            raise SerializationError(
-                f"not a depth-board descriptor: {descriptor.get('kind')!r}"
-            )
-        names = tuple(str(n) for n in descriptor["asset_names"])
-        shm = _attach_untracked(str(descriptor["name"]))
-        view = np.ndarray(
-            (int(descriptor["count"]), len(names)), dtype=np.float64, buffer=shm.buf
-        )
-        return cls(shm, view, names, handle=None)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-        elif self._shm is not None:
-            try:
-                self._shm.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._shm = None
-
-    def unlink(self) -> None:
-        if self._handle is not None:
-            self._handle.unlink()
-            self._handle = None
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The fault-tolerant run controller for the parallel realization pass.
+"""The fault-tolerant run controller for the realization pass.
 
-:class:`RunController` owns what used to be an unsupervised
-``ProcessPoolExecutor.map``.  In process (``n_jobs == 1``) it runs the
-pending realizations through the generator's block kernel
-(``realize_block``), ``block_rows`` at a time; pooled, it submits one
-task per realization.  Either way it retries retryable failures with
-capped exponential backoff, charging each to the realization that
-raised it, enforces a per-task timeout on hung workers, survives a
-collapsed pool (``BrokenProcessPool`` after a worker is killed),
-validates every returned payload, and streams completed rows into a
+:class:`RunController` runs the pending realizations of one generation
+run as blocks of ``generator.block_rows`` rows, each through one block
+function, :func:`run_block`: the rows' pre-task faults, the generator's
+block kernel (``realize_block``), then corrupt-row faults.  In process
+(``n_jobs == 1``) the blocks run one after another; pooled, each block
+is one task on a pool of ``min(n_jobs, blocks)`` worker processes, with
+at most two tasks per worker in flight.  Either way the controller
+retries retryable failures with capped exponential backoff, enforces a
+per-task timeout on hung workers, survives a collapsed pool
+(``BrokenProcessPool`` after a worker is killed), validates every
+returned block, and streams settled rows into a
 :class:`~repro.runtime.checkpoint.CheckpointStore` so an interrupted run
 resumes from its shards to a bit-identical ensemble.
 
@@ -17,54 +19,54 @@ Failure taxonomy (see :mod:`repro.errors`):
 * **retryable** -- :class:`WorkerCrashError` (worker died or its task
   raised an unexpected exception), :class:`WorkerTimeoutError` (task
   exceeded ``task_timeout_s``), :class:`CorruptResultError` (payload
-  failed validation).  Each retry is charged to the realization; after
+  failed validation).  Each retry is charged to a realization; after
   ``max_retries`` charges the run flushes its checkpoint and raises
   :class:`RetryExhaustedError`.
 * **fatal** -- any :class:`~repro.errors.ReproError` raised by the task
   itself: a deterministic modeling error that no retry will fix is
   surfaced immediately (after flushing the checkpoint).
 
-When a pool collapses, every in-flight task is charged one
-:class:`WorkerCrashError` attempt -- the collapse destroys the evidence
-of which task killed it -- and the pool is rebuilt.  A hung task charges
-only itself; innocent in-flight tasks lost to the rebuild are
-resubmitted without penalty.
+Charging: one attempt at a block settles its leading good rows and
+charges its first failing row once -- the row whose pre-task fault
+raised (the block function stops there and reports it) or the first
+non-finite row -- and the rows from there on rerun as one block.  A
+failure no row owns (the kernel itself raised) is charged to the
+block's first row.  A collapsed pool charges every row of every
+in-flight block one :class:`WorkerCrashError` attempt -- the collapse
+destroys the evidence of which row killed it -- and the pool is
+rebuilt.  A hung block charges each of its rows once; innocent
+in-flight blocks lost to the rebuild are resubmitted without penalty.
+Settled rows stay recorded throughout.
 
 Data flow: the parameter pass hands over the (count, 7) parameter
-matrix, each block goes through the kernel as a (rows, 7) parameter
-block plus a (rows, N) block of dropout draws, and comes back as a
-(rows, A) depth block that is validated with one ``isfinite`` and
-written into the run's (count, A) depth matrix -- the matrix the
-returned :class:`~repro.hazards.hurricane.ensemble.HurricaneEnsemble`
-holds.
+matrix.  The parent cuts each block's (rows, 7) parameter rows and
+replays its (rows, N) dropout draws; the block function returns a
+(rows, A) depth block (pickled back through the result pipe when
+pooled), which the parent validates with one ``isfinite`` and writes
+into the run's (count, A) depth matrix -- the matrix the returned
+:class:`~repro.hazards.hurricane.ensemble.HurricaneEnsemble` holds.
 
 Determinism: realization ``i`` consumes only the serial parameter pass's
 row ``i`` and the uniform stream of ``SeedSequence(seed).spawn(count)[i]``,
 replayed for the block by :class:`~repro.runtime.streams.SpawnedStreams`
-at every (re)submission (pooled tasks get a ``Generator`` in the same
-replayed state), and the block kernel's rows do not depend on their
-block, so retries, block boundaries, worker counts, pool rebuilds, and
-resume all produce the same bits.
-
-Transport: pooled runs default to the *in-place* depth transport -- a
-parent-owned shared-memory board
-(:class:`~repro.io.shared_ensemble.DepthShardBoard`) that workers write
-each realization's depth row into directly, returning only a light
-:class:`DepthShard` payload instead of pickling the per-asset mapping
-back through the result pipe.  Every row is still validated, and faults
-and retries behave identically (a retry rewrites the same bits).
-``transport="pickle"`` pins the historical per-result pickling baseline.
+at every (re)submission, and the block kernel's rows do not depend on
+their block, so retries, block boundaries, worker counts, pool rebuilds,
+and resume all produce the same bits.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro._deprecation import warn_deprecated
 from repro.errors import (
     CorruptResultError,
     ReproError,
@@ -73,39 +75,30 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.hazards.hurricane.ensemble import (
-    EnsembleGenerator,
-    HurricaneEnsemble,
-    HurricaneRealization,
-    StormParameters,
-    params_from_row,
-)
-from repro.io.shared_ensemble import DepthShardBoard
+from repro.hazards.hurricane.ensemble import EnsembleGenerator, HurricaneEnsemble
 from repro.obs.observer import current as current_observer
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import FaultPlan
 from repro.runtime.streams import SpawnedStreams
 
-#: Transport choices for pooled runs: how workers return depths.
-TRANSPORTS = ("auto", "inplace", "pickle")
-
-
-@dataclass(frozen=True)
-class DepthShard:
-    """A worker's light result payload under the in-place transport.
-
-    The realization's depth row already sits in the parent-owned
-    :class:`~repro.io.shared_ensemble.DepthShardBoard` at ``index``; only
-    the storm parameters (a handful of floats) cross the result pipe.
-    """
-
-    index: int
-    params: StormParameters
+#: What :func:`run_block` returns: the depth rows it computed (``None``
+#: when it computed none), ``(row, error)`` when row ``row``'s pre-task
+#: fault stopped it (else ``None``), its per-stage timer and its seconds.
+BlockResult = tuple[
+    np.ndarray | None, tuple[int, Exception] | None, dict[str, float] | None, float
+]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard the controller fights for each realization."""
+    """How hard the controller fights for each realization.
+
+    ``task_timeout_s`` bounds one pool task, which is a whole block of
+    ``generator.block_rows`` rows: a block still running past it charges
+    each of its rows once.  Its clock starts when the executor queues
+    the block for a worker, up to one block's run time before a worker
+    picks it up, so set it to at least twice a block's run time.
+    """
 
     max_retries: int = 3
     backoff_base_s: float = 0.05
@@ -162,16 +155,14 @@ class RunController:
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         checkpoint: CheckpointStore | None = None,
-        transport: str = "auto",
+        transport: str | None = None,
     ) -> None:
         if count < 1:
             raise RuntimeControlError("run needs at least one realization")
         if n_jobs < 1:
             raise RuntimeControlError("n_jobs must be at least 1")
-        if transport not in TRANSPORTS:
-            raise RuntimeControlError(
-                f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
-            )
+        if transport is not None:
+            warn_deprecated("RunController(transport=...)")
         self.generator = generator
         self.count = count
         self.seed = seed
@@ -179,19 +170,11 @@ class RunController:
         self.policy = policy or RetryPolicy()
         self.faults = faults
         self.checkpoint = checkpoint
-        self.transport = transport
-        self._expected_assets = frozenset(a.name for a in generator.catalog)
-        self._asset_order: tuple[str, ...] = tuple(
-            getattr(generator, "asset_order", ()) or ()
-        )
-        if transport == "inplace" and not self._asset_order:
-            raise RuntimeControlError(
-                "in-place transport needs a generator exposing asset_order"
-            )
-        self._board: DepthShardBoard | None = None
+        self._asset_order: tuple[str, ...] = tuple(generator.asset_order)
         self._params = np.empty((0, 0))
         self._depths = np.empty((0, 0))
         self._done = np.zeros(0, dtype=bool)
+        self._timer: dict[str, float] | None = None
         self.retries_by_index: dict[int, int] = {}
         self.pool_rebuilds = 0
         self.resumed_realizations = 0
@@ -201,7 +184,14 @@ class RunController:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> HurricaneEnsemble:
-        """Produce the full ensemble, resuming from shards if asked."""
+        """Produce the full ensemble, resuming from shards if asked.
+
+        With an observer enabled, the pass's per-stage seconds become one
+        aggregate ``ensemble.<stage>`` child span of the realization pass
+        per stage: the parent's dropout draws, and the block function's
+        track, surge and inundation seconds (summed over the workers,
+        whose count a pooled run adds as ``workers=``).
+        """
         obs = self._obs = current_observer()
         with obs.span("ensemble.parameter_pass", count=self.count):
             self._params = np.asarray(
@@ -227,16 +217,24 @@ class RunController:
             else:
                 self.checkpoint.reset()
         pending = np.flatnonzero(~self._done).tolist()
+        rows = self.generator.block_rows
+        blocks = [pending[start:start + rows] for start in range(0, len(pending), rows)]
+        self._timer = {} if obs.enabled else None
         try:
             with obs.span(
                 "ensemble.realization_pass",
                 count=len(pending),
                 n_jobs=self.n_jobs,
             ):
-                if self.n_jobs == 1:
-                    self._run_inline(pending, streams)
+                meta = {}
+                if self.n_jobs > 1 and blocks:
+                    meta["workers"] = self._run_pool(blocks, streams)
                 else:
-                    self._run_pool(pending, streams)
+                    self._run_inline(blocks, streams)
+                for stage, seconds in (self._timer or {}).items():
+                    obs.record_span(
+                        f"ensemble.{stage}", seconds, realizations=len(pending), **meta
+                    )
         finally:
             self._flush()
         obs.inc("runtime.realizations_completed", len(pending))
@@ -259,6 +257,19 @@ class RunController:
         if self.checkpoint is not None:
             self.checkpoint.record(indices, depths, self._params[indices])
 
+    def _block(self, todo: list[int], streams: SpawnedStreams) -> tuple:
+        """:func:`run_block`'s inputs for ``todo``, with its dropout draws replayed.
+
+        The rows' current attempts key their scripted faults; the draw's
+        seconds go to the run's ``dropout`` stage.
+        """
+        drawing = time.perf_counter()
+        uniforms = streams.uniforms(todo, self.generator.mesh_size)
+        if self._timer is not None:
+            drawn = time.perf_counter() - drawing
+            self._timer["dropout"] = self._timer.get("dropout", 0.0) + drawn
+        return todo, [self._attempt_of(i) for i in todo], self._params[todo], uniforms
+
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
@@ -280,47 +291,40 @@ class RunController:
             self._record(todo[:settled], depths[:settled])
         return settled
 
-    def _accept(self, index: int, payload) -> np.ndarray:
-        """Validate one pooled result; return its depth row.
+    def _conclude(self, todo: list[int], outcome: Callable[[], BlockResult]) -> list[int]:
+        """Settle one attempt at a block; return its rows left to rerun.
 
-        Workers on the in-place transport return a :class:`DepthShard`
-        whose depth row already sits on the shared board.  The same
-        guarantees as ``_validate`` hold -- index, asset-set, and
-        finiteness -- but each check runs where it is cheap: the asset
-        set was enforced in the worker before the row could land (the
-        board's column order *is* the catalog's), the index is compared
-        directly, and finiteness is one vectorized pass over the row.
-        Any other payload (pickled transport, or a mangled result) goes
-        through ``_validate`` untouched.
+        ``outcome`` returns :func:`run_block`'s result or raises what the
+        attempt raised (the inline call itself, or a pooled future's
+        ``result``).  The leading good rows are recorded and the first
+        failing row is charged once; a fatal error flushes the checkpoint
+        and propagates.
         """
-        if self._board is None or not isinstance(payload, DepthShard):
-            return self._validate(index, payload)
-        if payload.index != index:
-            raise CorruptResultError(
-                f"task {index} returned realization {payload.index}"
-            )
-        row = self._board.view[index].copy()
-        if not bool(np.isfinite(row).all()):
-            raise CorruptResultError(f"task {index} returned non-finite depths")
-        return row
-
-    def _validate(self, index: int, result) -> np.ndarray:
-        """Check a pooled realization payload; return its depth row."""
-        if not isinstance(result, HurricaneRealization):
-            raise CorruptResultError(
-                f"task {index} returned {type(result).__name__}, not a realization"
-            )
-        if result.index != index:
-            raise CorruptResultError(
-                f"task {index} returned realization {result.index}"
-            )
-        depths = result.inundation.depths_m
-        if set(depths) != self._expected_assets:
-            raise CorruptResultError(f"task {index} returned a wrong asset set")
-        row = np.array([depths[name] for name in self._asset_order], dtype=float)
-        if not bool(np.isfinite(row).all()):
-            raise CorruptResultError(f"task {index} returned non-finite depths")
-        return row
+        settled = 0
+        try:
+            depths, stopped, timer, seconds = outcome()
+            ran = len(todo) if stopped is None else stopped[0]
+            if ran:
+                settled = self._settle(todo[:ran], depths)
+            if timer is not None and self._timer is not None:
+                for stage, spent in timer.items():
+                    self._timer[stage] = self._timer.get(stage, 0.0) + spent
+                for _ in range(settled):
+                    self._obs.observe("runtime.realization_s", seconds / len(todo))
+            if settled == len(todo):
+                return []
+            if settled < ran or stopped is None:
+                raise CorruptResultError(f"task {todo[settled]} returned non-finite depths")
+            raise stopped[1]
+        except Exception as exc:
+            error = self._classify(exc)
+            if error is None:
+                self._flush()
+                raise
+            index = todo[settled]
+            self._charge(index, error)
+            time.sleep(self.policy.backoff_s(self._attempt_of(index)))
+            return todo[settled:]
 
     def _classify(self, exc: BaseException) -> RuntimeControlError | None:
         """Map a task failure to the taxonomy; ``None`` means fatal."""
@@ -351,241 +355,132 @@ class RunController:
                 f"(max_retries={self.policy.max_retries}); last error: {error}"
             ) from error
 
+    def _charge_rows(self, blocks: Iterable[list[int]], error: RuntimeControlError) -> None:
+        """Charge every row of ``blocks`` once (a pool gave them up)."""
+        for todo in blocks:
+            for index in todo:
+                self._charge(index, error)
+
     def _attempt_of(self, index: int) -> int:
         return self.retries_by_index.get(index, 0)
 
     # ------------------------------------------------------------------
     # Inline (n_jobs == 1) execution
     # ------------------------------------------------------------------
-    def _run_inline(self, pending: list[int], streams: SpawnedStreams) -> None:
-        """Run the pending realizations in process, one kernel block at a time.
-
-        With an observer enabled, the generator's per-stage timer becomes
-        one aggregate ``ensemble.<stage>`` child span of the realization
-        pass per stage (dropout draws, track, surge, inundation).
-        """
-        timer: dict[str, float] | None = {} if self._obs.enabled else None
-        rows = self.generator.block_rows
-        for start in range(0, len(pending), rows):
-            self._run_block(pending[start:start + rows], streams, timer)
-        if timer is not None:
-            for stage, seconds in timer.items():
-                self._obs.record_span(
-                    f"ensemble.{stage}", seconds, realizations=len(pending)
+    def _run_inline(self, blocks: list[list[int]], streams: SpawnedStreams) -> None:
+        """Run the blocks in process, each until all its rows settle."""
+        timed = self._timer is not None
+        for todo in blocks:
+            while todo:
+                attempt = partial(
+                    run_block,
+                    self.generator,
+                    self.faults,
+                    *self._block(todo, streams),
+                    timed=timed,
+                    inline=True,
                 )
-
-    def _run_block(self, block: list[int], streams: SpawnedStreams, timer) -> None:
-        """Settle one block, charging each failure to the row that raised it.
-
-        A pre-task fault aborts the pass before the kernel runs; a row
-        that fails validation leaves the rows before it recorded.  Either
-        way the failing row is charged once and the unsettled rows rerun
-        as a block, with their dropout draws replayed, so retries cannot
-        change the bits.
-        """
-        faults = self.faults
-        n_draws = self.generator.mesh_size
-        todo = list(block)
-        while todo:
-            started = time.perf_counter() if timer is not None else 0.0
-            settled = 0
-            index = todo[0]
-            error = None
-            try:
-                if faults is not None:
-                    for index in todo:
-                        faults.apply_before(index, self._attempt_of(index), inline=True)
-                    index = todo[0]
-                drawing = time.perf_counter() if timer is not None else 0.0
-                uniforms = streams.uniforms(todo, n_draws)
-                if timer is not None:
-                    drawn = time.perf_counter() - drawing
-                    timer["dropout"] = timer.get("dropout", 0.0) + drawn
-                depths = self.generator.realize_block(self._params[todo], uniforms, timer)
-                if faults is not None:
-                    depths = faults.mangle_rows(
-                        todo, [self._attempt_of(i) for i in todo], depths
-                    )
-                settled = self._settle(todo, depths)
-                if settled < len(todo):
-                    index = todo[settled]
-                    raise CorruptResultError(f"task {index} returned non-finite depths")
-            except Exception as exc:
-                error = self._classify(exc)
-                if error is None:
-                    self._flush()
-                    raise
-            if timer is not None and settled:
-                share = (time.perf_counter() - started) / len(todo)
-                for _ in range(settled):
-                    self._obs.observe("runtime.realization_s", share)
-            todo = todo[settled:]
-            if error is not None:
-                self._charge(index, error)
-                time.sleep(self.policy.backoff_s(self._attempt_of(index)))
+                todo = self._conclude(todo, attempt)
 
     # ------------------------------------------------------------------
     # Pooled execution
     # ------------------------------------------------------------------
-    def _use_inplace(self) -> bool:
-        if self.transport == "pickle":
-            return False
-        return bool(self._asset_order)
+    def _run_pool(self, blocks: list[list[int]], streams: SpawnedStreams) -> int:
+        """Run the blocks as pool tasks, rebuilding the pool as needed.
 
-    def _publish_board(self) -> "DepthShardBoard | None":
-        """Create the in-place depth board, or ``None`` for pickling.
-
-        Rows already settled before the pool starts (checkpoint-resumed
-        realizations) are copied in by the parent so a completed board
-        always holds the full matrix.  A board that cannot be created
-        (no shared memory on this host) degrades to the pickled
-        transport rather than failing the run.
+        Returns the worker count, ``min(n_jobs, blocks)``.
         """
-        if not self._use_inplace():
-            return None
-        try:
-            board = DepthShardBoard.create(self.count, self._asset_order)
-        except (OSError, ValueError) as exc:
-            if self.transport == "inplace":
-                raise RuntimeControlError(
-                    f"in-place transport unavailable: {exc}"
-                ) from exc
-            return None
-        board.view[self._done] = self._depths[self._done]
-        return board
-
-    def _run_pool(self, pending: list[int], streams: SpawnedStreams) -> None:
-        remaining = set(pending)
-        board = self._board = self._publish_board()
-        self._obs.event(
-            "generation_transport",
-            transport="inplace" if board is not None else "pickle",
-            n_jobs=self.n_jobs,
-        )
-        initargs = (
-            self.generator,
-            self.faults,
-            board.descriptor if board is not None else None,
-        )
-        try:
-            while remaining:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    initializer=_init_worker,
-                    initargs=initargs,
-                )
-                try:
-                    rebuild = self._drive_pool(executor, remaining, streams)
-                finally:
-                    self._terminate_pool(executor)
-                if rebuild:
-                    self.pool_rebuilds += 1
-                    self._obs.inc("runtime.pool_rebuilds")
-                    self._obs.event("pool_rebuild", remaining=len(remaining))
-        finally:
-            self._board = None
-            if board is not None:
-                board.close()
-                board.unlink()
-
-    def _submit(self, executor, index: int, streams: SpawnedStreams) -> Future:
-        return executor.submit(
-            _run_task,
-            index,
-            self._attempt_of(index),
-            params_from_row(self._params[index]),
-            streams.generator(index),
-        )
-
-    def _drive_pool(self, executor, remaining, streams) -> bool:
-        """Run tasks on one pool; ``True`` means the pool must be rebuilt."""
-        observed = self._obs.enabled
-        futures: dict[Future, int] = {
-            self._submit(executor, i, streams): i for i in sorted(remaining)
-        }
-        # Submit-to-completion latency per future (includes queueing).
-        submitted_at: dict[Future, float] = (
-            {f: time.perf_counter() for f in futures} if observed else {}
-        )
-        running_since: dict[Future, float] = {}
-        while futures:
-            done, _ = wait(
-                futures, timeout=self.policy.poll_interval_s,
-                return_when=FIRST_COMPLETED,
+        queue = deque(blocks)
+        workers = min(self.n_jobs, len(queue))
+        self._obs.event("generation_pool", workers=workers, blocks=len(queue))
+        while queue:
+            executor = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(self.generator, self.faults),
             )
-            broken = False
-            retry_now: list[int] = []
-            for future in done:
-                index = futures.pop(future)
-                try:
-                    row = self._accept(index, future.result())
-                except Exception as exc:
-                    submitted_at.pop(future, None)
-                    if isinstance(exc, BrokenProcessPool):
-                        broken = True
-                    retryable = self._classify(exc)
-                    if retryable is None:
-                        self._flush()
-                        raise
-                    self._charge(index, retryable)
-                    retry_now.append(index)
-                else:
-                    if observed:
-                        started = submitted_at.pop(future, None)
-                        if started is not None:
-                            self._obs.observe(
-                                "runtime.realization_s",
-                                time.perf_counter() - started,
-                            )
-                    self._record([index], row[None, :])
-                    remaining.discard(index)
-            if broken:
-                # The collapse destroyed any evidence of which in-flight
-                # task killed the worker: charge them all one attempt.
-                # (retry_now tasks were already charged above; all stay in
-                # ``remaining`` and rerun on the rebuilt pool.)
-                for index in futures.values():
-                    self._charge(
-                        index, WorkerCrashError("worker pool collapsed mid-task")
-                    )
-                return True
-            for index in retry_now:
-                time.sleep(self.policy.backoff_s(self._attempt_of(index)))
-                try:
-                    future = self._submit(executor, index, streams)
-                    futures[future] = index
-                    if observed:
-                        submitted_at[future] = time.perf_counter()
-                except BrokenProcessPool:
-                    return True  # already charged; rerun on the rebuilt pool
-            if self._hung_task(futures, running_since):
-                return True
-        return False
+            try:
+                rebuild = self._drive_pool(executor, queue, workers, streams)
+            finally:
+                terminate_pool(executor)
+            if rebuild:
+                self.pool_rebuilds += 1
+                self._obs.inc("runtime.pool_rebuilds")
+                self._obs.event("pool_rebuild", remaining=sum(map(len, queue)))
+        return workers
 
-    def _hung_task(self, futures, running_since) -> bool:
-        """Charge any task running past the timeout; ``True`` if one hung."""
+    def _drive_pool(self, executor, queue: deque, workers: int, streams) -> bool:
+        """Run queued blocks on one pool; ``True`` means it must be rebuilt.
+
+        At most ``2 * workers`` blocks are in flight.  A block's rows left
+        to rerun go back to the head of the queue, and so does every
+        block still in flight when the pool is given up.
+        """
+        timed = self._timer is not None
+        futures: dict[Future, list[int]] = {}
+        running_since: dict[Future, float] = {}
+        try:
+            while queue or futures:
+                while queue and len(futures) < 2 * workers:
+                    try:
+                        future = executor.submit(
+                            _pool_block, *self._block(queue[0], streams), timed
+                        )
+                    except BrokenProcessPool:
+                        # Only in-flight blocks can have broken the pool;
+                        # the block that failed to submit stays queued.
+                        self._charge_rows(
+                            futures.values(), WorkerCrashError("worker pool collapsed")
+                        )
+                        return True
+                    futures[future] = queue.popleft()
+                done, _ = wait(
+                    futures, timeout=self.policy.poll_interval_s,
+                    return_when=FIRST_COMPLETED,
+                )
+                collapsed = False
+                for future in done:
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        collapsed = True
+                        continue
+                    running_since.pop(future, None)
+                    rest = self._conclude(futures.pop(future), future.result)
+                    if rest:
+                        queue.appendleft(rest)
+                if collapsed:
+                    # The collapse destroyed any evidence of which row
+                    # killed the worker: every in-flight row pays once.
+                    self._charge_rows(
+                        futures.values(), WorkerCrashError("worker pool collapsed mid-task")
+                    )
+                    return True
+                hung = self._hung_block(futures, running_since)
+                if hung is not None:
+                    self._charge_rows(
+                        [hung],
+                        WorkerTimeoutError(
+                            f"block of realizations {hung[0]}..{hung[-1]} still "
+                            f"running after {self.policy.task_timeout_s:.3g}s"
+                        ),
+                    )
+                    return True
+            return False
+        finally:
+            queue.extendleft(reversed(list(futures.values())))
+
+    def _hung_block(self, futures, running_since) -> list[int] | None:
+        """The block of a task running past the timeout, if any."""
         timeout = self.policy.task_timeout_s
         if timeout is None:
-            return False
+            return None
         now = time.monotonic()
         for future in futures:
-            if future.running() and future not in running_since:
-                running_since[future] = now
+            if future.running():
+                running_since.setdefault(future, now)
         for future, started in running_since.items():
-            if future in futures and now - started > timeout:
-                index = futures[future]
-                self._charge(
-                    index,
-                    WorkerTimeoutError(
-                        f"realization {index} still running after {timeout:.3g}s"
-                    ),
-                )
-                return True
-        return False
-
-    @staticmethod
-    def _terminate_pool(executor: ProcessPoolExecutor) -> None:
-        terminate_pool(executor)
+            if now - started > timeout:
+                return futures[future]
+        return None
 
 
 def terminate_pool(executor: ProcessPoolExecutor) -> None:
@@ -594,21 +489,64 @@ def terminate_pool(executor: ProcessPoolExecutor) -> None:
     ``shutdown`` alone would wait on a hung worker forever, so any
     still-live worker processes are terminated outright (private
     attribute, guarded -- a missing attribute degrades to a plain
-    shutdown).  Shared by :class:`RunController` (realization pass) and
+    shutdown).  The workers are listed before ``shutdown``, which drops
+    the executor's reference to them.  Shared by :class:`RunController`
+    (realization pass) and
     :class:`~repro.runtime.supervisor.StudySupervisor` (study pass).
     """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.terminate()
         except (OSError, ValueError):  # already gone
             pass
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.join(timeout=5.0)
         except (OSError, ValueError, AssertionError):
             pass
+
+
+def run_block(
+    generator: EnsembleGenerator,
+    faults: FaultPlan | None,
+    indices: Sequence[int],
+    attempts: Sequence[int],
+    params: np.ndarray,
+    uniforms: np.ndarray,
+    *,
+    timed: bool = False,
+    inline: bool = False,
+) -> BlockResult:
+    """Realize one block of rows: the one kernel path of both run modes.
+
+    Fires each row's pre-task fault in order (``FaultPlan.apply_before``;
+    ``inline`` marks an in-process run), runs the generator's
+    ``realize_block`` over the rows before the first one whose fault
+    raised -- all of them when none did -- then applies corrupt-row
+    faults (``mangle_rows``).  Returns ``(depths, stopped, timer,
+    seconds)``: the computed rows' (k, A) depths (``None`` for k = 0),
+    ``(k, error)`` when row ``k``'s fault raised, and, when ``timed``,
+    the kernel's per-stage seconds and the call's wall seconds.
+    """
+    started = time.perf_counter()
+    stopped = None
+    if faults is not None:
+        for row, (index, attempt) in enumerate(zip(indices, attempts)):
+            try:
+                faults.apply_before(index, attempt, inline=inline)
+            except Exception as exc:
+                stopped = (row, exc)
+                break
+    ran = len(indices) if stopped is None else stopped[0]
+    timer: dict[str, float] | None = {} if timed else None
+    depths = None
+    if ran:
+        depths = generator.realize_block(params[:ran], uniforms[:ran], timer)
+        if faults is not None:
+            depths = faults.mangle_rows(indices[:ran], attempts[:ran], depths)
+    return depths, stopped, timer, time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -616,59 +554,19 @@ def terminate_pool(executor: ProcessPoolExecutor) -> None:
 # ----------------------------------------------------------------------
 _WORKER_GENERATOR: EnsembleGenerator | None = None
 _WORKER_FAULTS: FaultPlan | None = None
-_WORKER_BOARD: DepthShardBoard | None = None
 
 
-def _init_worker(
-    generator: EnsembleGenerator,
-    faults: FaultPlan | None,
-    board_descriptor: dict | None = None,
-) -> None:
+def _init_worker(generator: EnsembleGenerator, faults: FaultPlan | None) -> None:
     """Install the (already-built) generator and fault plan in a worker."""
-    global _WORKER_GENERATOR, _WORKER_FAULTS, _WORKER_BOARD
+    global _WORKER_GENERATOR, _WORKER_FAULTS
     _WORKER_GENERATOR = generator
     _WORKER_FAULTS = faults
-    _WORKER_BOARD = (
-        DepthShardBoard.attach(board_descriptor)
-        if board_descriptor is not None
-        else None
-    )
 
 
-def _write_shard(index: int, realization) -> object:
-    """Write the realization's depth row in place; return a light shard.
-
-    The asset set is validated *in the worker* -- a row with missing or
-    extra assets must never land on the board -- and a mismatch raises
-    the same retryable :class:`CorruptResultError` the parent would have
-    raised.  A payload that is not a realization at all, or one claiming
-    a foreign index, is returned unwritten so the parent's validation
-    reports it exactly as the pickled transport would (depth *values*
-    are also still re-checked parent-side: a non-finite row is caught by
-    ``_validate`` and the retry overwrites it).
-    """
-    board = _WORKER_BOARD
-    assert board is not None
-    if not isinstance(realization, HurricaneRealization):
-        return realization
-    if realization.index != index:
-        return realization
-    depths = realization.inundation.depths_m
-    if tuple(depths) != board.asset_names:
-        raise CorruptResultError(f"task {index} produced a wrong asset set")
-    board.view[index, :] = np.fromiter(
-        depths.values(), dtype=np.float64, count=len(board.asset_names)
-    )
-    return DepthShard(index=index, params=realization.params)
-
-
-def _run_task(index, attempt, params, rng) -> object:
+def _pool_block(indices, attempts, params, uniforms, timed: bool) -> BlockResult:
+    """One pooled task: :func:`run_block` on the worker's generator."""
     assert _WORKER_GENERATOR is not None, "worker pool not initialized"
-    if _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.apply_before(index, attempt)
-    realization = _WORKER_GENERATOR.realize(index, params, rng)
-    if _WORKER_FAULTS is not None:
-        realization = _WORKER_FAULTS.mangle_result(index, attempt, realization)
-    if _WORKER_BOARD is None:
-        return realization
-    return _write_shard(index, realization)
+    return run_block(
+        _WORKER_GENERATOR, _WORKER_FAULTS, indices, attempts, params, uniforms,
+        timed=timed,
+    )

@@ -4,8 +4,8 @@ A :class:`FaultPlan` scripts exactly which realizations misbehave, how,
 and on which attempts, so chaos tests can *prove* the controller's
 guarantees (retry, resume, bit-identical output) instead of assuming
 them.  Plans are plain picklable data: the controller ships the plan to
-worker processes, and each worker consults it right before and after
-running a task.
+worker processes, and the block function consults it right before and
+after running a block's kernel.
 
 Faults are keyed by ``(realization index, attempt)``: a fault with
 ``times=n`` fires on attempts ``0 .. n-1`` and then stops, which is what
@@ -20,8 +20,8 @@ Four behaviors are supported:
   the pool (``BrokenProcessPool``).  Inline (``n_jobs=1``) runs downgrade
   this to ``crash`` so the host process survives.
 * ``hang``  -- the task sleeps far past any sane per-task timeout.
-* ``corrupt`` -- the task completes but returns a mangled payload (wrong
-  index, non-finite depths) that must be caught by result validation.
+* ``corrupt`` -- the task completes but the realization's depth row comes
+  back non-finite, which result validation must catch.
 
 The plan can also damage artifacts *at rest*: :meth:`corrupt_file`
 overwrites a prefix of an on-disk shard or cache entry with seeded
@@ -200,17 +200,6 @@ class FaultPlan:
         depths = np.array(depths, dtype=float)
         depths[hit] = math.nan
         return depths
-
-    def mangle_result(self, index: int, attempt: int, result):
-        """Apply a ``corrupt`` fault to a pooled task's realization payload."""
-        if self.action_for(index, attempt) is not FaultKind.CORRUPT:
-            return result
-        depths = {name: math.nan for name in result.inundation.depths_m}
-        return type(result)(
-            index=result.index,
-            params=result.params,
-            inundation=type(result.inundation)(depths_m=depths),
-        )
 
     # ------------------------------------------------------------------
     # Disk-side application

@@ -26,11 +26,9 @@ whole block of realizations at once:
   ``(x >> 11) * 2**-53``.
 
 Nothing is kept per realization, and the largest array is one block's
-``(rows, n)`` limb or draw matrix.  :meth:`SpawnedStreams.generator` hands
-out a ``Generator`` in the same seeded state, for callers that draw
-from a stream themselves (pooled workers run the scalar ``realize``).
-Spawn indices are limited to ``[0, 2**32)``: numpy encodes larger ones
-as two spawn words, a layout no run of this package reaches.
+``(rows, n)`` limb or draw matrix.  Spawn indices are limited to
+``[0, 2**32)``: numpy encodes larger ones as two spawn words, a layout
+no run of this package reaches.
 """
 
 from __future__ import annotations
@@ -226,19 +224,3 @@ class SpawnedStreams:
         out |= mixed
         out >>= np.uint64(11)
         return out * (1.0 / 9007199254740992.0)
-
-    def generator(self, index: int) -> np.random.Generator:
-        """A ``Generator`` in stream ``index``'s freshly seeded state."""
-        words = [int(w) for w in self._state_words([index])[0]]
-        initstate = (words[0] | words[1] << 32) << 64 | (words[2] | words[3] << 32)
-        initseq = (words[4] | words[5] << 32) << 64 | (words[6] | words[7] << 32)
-        inc = (2 * initseq + 1) & _MASK128
-        state = (((inc + initstate) & _MASK128) * _PCG_MULT + inc) & _MASK128
-        bit_generator = np.random.PCG64(0)  # any seed: the state is replaced
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return np.random.Generator(bit_generator)

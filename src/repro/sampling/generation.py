@@ -13,9 +13,9 @@ satisfies the exact generator contract those layers consume
 (``catalog``, ``scenario``, ``asset_order``, ``mesh_size``,
 ``sample_all_parameters``, ``block_rows``, ``realize_block``,
 ``realize``, ``cache_key``, ``generate``).  The
-controller's in-process pass runs ``realize_block`` over blocks of
-``block_rows`` pending realizations, so adaptive rounds generate on the
-same block kernel; pooled workers call ``realize`` per realization.
+controller runs ``realize_block`` over blocks of ``block_rows`` pending
+realizations, in process or on pooled workers, so adaptive rounds
+generate on the same block kernel.
 
 The wrapper's cache key folds the plan spec into the inner generator's
 content hash, so plan-sampled ensembles never collide with plain ones

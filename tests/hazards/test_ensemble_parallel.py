@@ -2,10 +2,15 @@
 
 The two-pass design (serial parameter pass + spawned per-realization
 dropout rngs) makes the output independent of how the realization pass is
-scheduled; these tests pin that guarantee for worker counts 1 and 4.
+scheduled; these tests pin that guarantee for worker counts 1 to 4.  A
+pooled run sends one task per ``block_rows`` block to ``min(n_jobs,
+blocks)`` workers, so ``COUNT`` spans more than four blocks, the last
+one ragged, for every worker count to run several blocks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from repro.errors import HazardError
 from repro.hazards.hurricane.ensemble import params_from_row
 from repro.hazards.hurricane.standard import standard_oahu_generator
 
-COUNT = 48
+COUNT = 4 * 112 + 3
 SEED = 90210
 
 
@@ -30,6 +35,17 @@ def serial(generator):
 
 def test_parallel_matches_serial_bitwise(generator, serial):
     parallel = generator.generate(count=COUNT, seed=SEED, n_jobs=4)
+    assert np.array_equal(serial.depth_matrix(), parallel.depth_matrix())
+
+
+def test_count_spans_more_blocks_than_workers(generator):
+    blocks = math.ceil(COUNT / generator.block_rows)
+    assert blocks > 4 and COUNT % generator.block_rows
+
+
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_any_worker_count_matches_serial_bitwise(generator, serial, n_jobs):
+    parallel = generator.generate(count=COUNT, seed=SEED, n_jobs=n_jobs)
     assert np.array_equal(serial.depth_matrix(), parallel.depth_matrix())
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from repro._deprecation import (
@@ -75,3 +76,25 @@ class TestRegistry:
             "repro.old_module", "helper"
         )
         assert get_deprecation("repro.old_module").removal_release == "9.0.0"
+
+
+class TestTransportRunway:
+    def test_transport_warns_naming_3_0_0_and_changes_no_bits(self):
+        from repro.hazards.hurricane.standard import standard_oahu_generator
+
+        generator = standard_oahu_generator()
+        with pytest.warns(DeprecationWarning) as caught:
+            pickled = generator.generate(count=20, seed=3, n_jobs=2, transport="pickle")
+        message = deprecation_message("EnsembleGenerator.generate(transport=...)")
+        assert [str(w.message) for w in caught] == [message]
+        assert "3.0.0" in message
+        plain = generator.generate(count=20, seed=3)
+        assert np.array_equal(pickled.depth_matrix(), plain.depth_matrix())
+        assert np.array_equal(pickled.parameter_view(), plain.parameter_view())
+
+    def test_run_controller_transport_warns_too(self):
+        from repro.hazards.hurricane.standard import standard_oahu_generator
+        from repro.runtime.controller import RunController
+
+        with pytest.warns(DeprecationWarning, match="3.0.0"):
+            RunController(standard_oahu_generator(), 4, 1, transport="inplace")

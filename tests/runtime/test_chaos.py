@@ -29,6 +29,7 @@ from repro.io.ensemble_cache import (
 )
 from repro.hazards.fragility import ThresholdFragility
 from repro.io.shared_ensemble import attach_shared_ensemble
+from repro.obs.observer import Observability, activate
 from repro.runtime.controller import RetryPolicy
 from repro.runtime.faults import FaultPlan
 from repro.sweep import run_sweep, sweep_grid
@@ -78,15 +79,20 @@ class TestCompoundChaos:
         (validation), and an unrecoverable crash that interrupts the run
         partway.  Phase 2 resumes from the surviving shards with clean
         workers and must reproduce the oracle bit-for-bit.
+
+        The 24 rows are one generation block, so each collapse or timeout
+        charges every row once: the kill fires on attempt 0, the hang on
+        attempt 1 (``times=2``) and the corrupt payload on attempt 2
+        (``times=3``).
         """
         chaos = (
             FaultPlan()
             .kill(2, times=1)
-            .hang(7, times=1, hang_s=30.0)
-            .corrupt(11, times=1)
+            .hang(7, times=2, hang_s=30.0)
+            .corrupt(11, times=3)
             .crash(21, times=99)  # unrecoverable: interrupts the run
         )
-        with pytest.raises(RetryExhaustedError):
+        with activate(Observability()) as obs, pytest.raises(RetryExhaustedError):
             generator.generate(
                 count=COUNT,
                 seed=SEED,
@@ -95,6 +101,12 @@ class TestCompoundChaos:
                 faults=chaos,
                 retry=FAST,
             )
+        charges = {(e["realization"], e["error"]) for e in obs.events.of_kind("retry")}
+        assert (2, "WorkerCrashError") in charges  # the kill's pool collapse
+        assert (7, "WorkerTimeoutError") in charges
+        assert (11, "CorruptResultError") in charges
+        assert (21, "WorkerCrashError") in charges
+        assert obs.metrics.counter("runtime.pool_rebuilds") == 2
         # The interrupted run left checkpoint shards, not a cache entry.
         run_dirs = [p for p in tmp_path.iterdir() if p.name.startswith("run-")]
         assert len(run_dirs) == 1
