@@ -47,6 +47,7 @@ from repro.core.report import format_matrix_report
 from repro.core.threat import PAPER_SCENARIOS, ThreatScenario, get_scenario
 from repro.errors import ConfigurationError
 from repro.hazards.base import HazardEnsemble
+from repro.hazards.columnar import depth_grid
 from repro.hazards.fragility import FragilityModel
 from repro.hazards.hurricane.ensemble import EnsembleGenerator
 from repro.hazards.hurricane.standard import (
@@ -484,11 +485,12 @@ class StudyResult:
 def _prebuilt_ensemble_key(ensemble: HazardEnsemble) -> str:
     """A deterministic content key for a user-supplied ensemble.
 
-    Hashes the identity fields plus the depth matrix when the ensemble
-    exposes one, so two prebuilt ensembles with the same bits group into
-    the same sweep ensemble group (and a different seed or subset never
-    collides).
+    Hashes the identity fields plus, when the ensemble exposes a depth
+    grid, its asset order and depth bytes, so two prebuilt ensembles with
+    the same bits group into the same sweep ensemble group (and a
+    different seed, subset or column labelling never collides).
     """
+    grid = depth_grid(ensemble)
     digest = hashlib.sha256()
     digest.update(
         json.dumps(
@@ -497,13 +499,13 @@ def _prebuilt_ensemble_key(ensemble: HazardEnsemble) -> str:
                 "scenario_name": getattr(ensemble, "scenario_name", None),
                 "seed": getattr(ensemble, "seed", None),
                 "count": len(ensemble),
+                "asset_names": None if grid is None else grid[0],
             },
             sort_keys=True,
         ).encode()
     )
-    depth_matrix = getattr(ensemble, "depth_matrix", None)
-    if callable(depth_matrix):
-        digest.update(np.ascontiguousarray(depth_matrix()).tobytes())
+    if grid is not None:
+        digest.update(np.ascontiguousarray(grid[1]).tobytes())
     return f"prebuilt-{digest.hexdigest()[:32]}"
 
 

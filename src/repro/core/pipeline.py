@@ -40,6 +40,7 @@ from repro.core.system_state import SystemState, initial_state
 from repro.core.threat import ThreatScenario
 from repro.errors import AnalysisError
 from repro.hazards.base import HazardEnsemble, HazardRealization
+from repro.hazards.columnar import depth_grid
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.obs.observer import current as current_observer
 from repro.scada.architectures import ArchitectureSpec
@@ -137,32 +138,8 @@ class CompoundThreatAnalysis:
         # sweep engine may pass one externally owned ``matrix_cache`` per
         # shared ensemble.  It lives as long as the analysis: stages keep
         # no per-study state of their own.
-        self._batch_depths: tuple[list[str], np.ndarray] | None = None
-        self._batch_probed = False
+        self._grid = depth_grid(ensemble)
         self._memo: dict = {} if matrix_cache is None else matrix_cache
-
-    def _depth_grid(self) -> tuple[list[str], np.ndarray] | None:
-        """The ensemble's (asset names, depth matrix), probed once.
-
-        ``None`` when the ensemble does not expose a per-asset intensity
-        grid -- the batched executor then stays off and the scalar
-        adapter runs every cell, each stage running its own fragility
-        pass.
-        """
-        if not self._batch_probed:
-            self._batch_probed = True
-            names = getattr(self.ensemble, "asset_names", None)
-            view = getattr(self.ensemble, "depth_view", None)
-            if not callable(view):
-                view = getattr(self.ensemble, "depth_matrix", None)
-            if names and callable(view):
-                depths = np.asarray(view())
-                if depths.ndim == 2 and depths.shape == (
-                    len(self.ensemble),
-                    len(names),
-                ):
-                    self._batch_depths = (list(names), depths)
-        return self._batch_depths
 
     def _batch_context(
         self,
@@ -171,7 +148,7 @@ class CompoundThreatAnalysis:
         scenario: ThreatScenario,
     ) -> BatchContext | None:
         """A batch context for one cell, or ``None`` when unavailable."""
-        grid = self._depth_grid()
+        grid = self._grid
         if grid is None:
             return None
         names, depths = grid

@@ -4,7 +4,8 @@ The compound threat model is generic in the natural disaster (paper
 Section III-B): the pipeline only needs, per realization, *which assets
 failed*.  Any hazard that yields realizations with a ``failed_assets``
 method and an index therefore plugs in -- the hurricane ensemble is the
-paper's case study, the earthquake ensemble demonstrates the generality.
+paper's case study, the earthquake and flood ensembles demonstrate the
+generality.
 """
 
 from __future__ import annotations
@@ -33,7 +34,16 @@ class HazardRealization(Protocol):
 
 @runtime_checkable
 class HazardEnsemble(Protocol):
-    """An ordered collection of hazard realizations."""
+    """An ordered collection of hazard realizations.
+
+    Iterating is all the scalar path needs.  Every library family's
+    ensemble is also an
+    :class:`~repro.hazards.columnar.ArrayBackedEnsemble`, whose (R, A)
+    intensity matrix :func:`~repro.hazards.columnar.depth_grid` reads for
+    the batched executor, shared-memory hand-over and cache keys; a
+    foreign ensemble that exposes ``asset_names`` and
+    ``depth_view()``/``depth_matrix()`` gets the same treatment.
+    """
 
     def __len__(self) -> int:
         ...  # pragma: no cover - protocol
@@ -55,10 +65,12 @@ class Hazard(Protocol):
       ignore) the delivery keywords ``n_jobs``, ``cache_dir``,
       ``resume``, ``retry``, and ``faults`` so callers never need to
       know whether generation is parallel or cached.
-    * per-asset intensity sampling -- the returned ensemble exposes
-      ``depth_matrix()``/``depth_view()`` (the family's intensity
-      measure: inundation depth, PGA, flood stage) for the batched
-      executor and fragility models.
+    * per-asset intensity sampling -- the returned ensemble is an
+      :class:`~repro.hazards.columnar.ArrayBackedEnsemble`:
+      :func:`~repro.hazards.columnar.depth_grid` hands its read-only
+      (R, A) matrix of the family's intensity measure (inundation
+      depth, PGA, flood depth) to the batched executor and fragility
+      models.
     * ``cache_key(count, seed)`` -- a content hash covering the scenario
       parameters *and* the geography they act on, so two generators
       share cached ensembles iff they would generate identical data.

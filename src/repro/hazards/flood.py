@@ -27,13 +27,13 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, segment_distance_km
+from repro.hazards.columnar import ArrayBackedEnsemble
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 
 __all__ = [
@@ -126,60 +126,27 @@ class FloodRealization:
         return model.failed_assets(self.depths_m, rng)
 
 
-@dataclass(frozen=True)
-class FloodEnsemble:
-    """An ordered collection of flood realizations."""
+class FloodEnsemble(ArrayBackedEnsemble):
+    """An ordered flood ensemble: the (R, A) inundation-depth matrix plus
+    each row's peak discharge and channel stage.
 
-    scenario_name: str
-    realizations: tuple[FloodRealization, ...]
-    seed: int | None = None
+    Rows are :class:`FloodRealization` objects, built on first use (see
+    :class:`~repro.hazards.columnar.ArrayBackedEnsemble`).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.realizations:
-            raise HazardError("ensemble must contain at least one realization")
+    param_columns = ("discharge_m3s", "stage_m")
+    fragility = flood_fragility()
 
-    def __len__(self) -> int:
-        return len(self.realizations)
+    @staticmethod
+    def _from_row(
+        index: int, depths_m: dict[str, float], params: list[float]
+    ) -> FloodRealization:
+        discharge, stage = params
+        return FloodRealization(index, discharge, stage, depths_m)
 
-    def __iter__(self) -> Iterator[FloodRealization]:
-        return iter(self.realizations)
-
-    def __getitem__(self, index: int) -> FloodRealization:
-        return self.realizations[index]
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self.realizations[0].depths_m)
-
-    def _intensity_data(self) -> np.ndarray:
-        """The cached (R x A) inundation-depth matrix."""
-        try:
-            return self._intensity_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-        names = self.asset_names
-        matrix = np.array([[r.depths_m[n] for n in names] for r in self.realizations])
-        object.__setattr__(self, "_intensity_cache", matrix)
-        return matrix
-
-    def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) inundation depths in metres."""
-        return self._intensity_data().copy()
-
-    def depth_view(self) -> np.ndarray:
-        """The cached depth matrix without the defensive copy."""
-        return self._intensity_data()
-
-    def flood_probability(
-        self, asset_name: str, fragility: FragilityModel | None = None
-    ) -> float:
-        model = fragility or flood_fragility()
-        hits = sum(
-            1
-            for r in self.realizations
-            if asset_name in r.failed_assets(fragility=model)
-        )
-        return hits / len(self.realizations)
+    @staticmethod
+    def _to_row(realization: FloodRealization) -> tuple[dict[str, float], list[float]]:
+        return realization.depths_m, [realization.discharge_m3s, realization.stage_m]
 
 
 class FloodGenerator:
@@ -215,17 +182,6 @@ class FloodGenerator:
             -self._channel_distance_km / scenario.floodplain_width_km
         )
 
-    def realize(self, index: int, rng: np.random.Generator) -> FloodRealization:
-        discharge = self.scenario.sample_discharge(rng)
-        stage = self.scenario.stage_for(discharge)
-        depths = np.maximum(0.0, stage * self._lateral_decay - self._elevations)
-        return FloodRealization(
-            index=index,
-            discharge_m3s=discharge,
-            stage_m=stage,
-            depths_m=dict(zip(self._names, depths.tolist())),
-        )
-
     def generate(
         self, count: int = 1000, seed: int = 0, **delivery: object
     ) -> FloodEnsemble:
@@ -238,9 +194,18 @@ class FloodGenerator:
         if count < 1:
             raise HazardError("ensemble size must be at least 1")
         rng = np.random.default_rng(seed)
-        realizations = tuple(self.realize(i, rng) for i in range(count))
+        # One discharge draw per row, in row order; depths in one pass.
+        discharges = [self.scenario.sample_discharge(rng) for _ in range(count)]
+        params = np.array([(q, self.scenario.stage_for(q)) for q in discharges])
+        depths = np.maximum(
+            0.0, params[:, 1:] * self._lateral_decay - self._elevations
+        )
         return FloodEnsemble(
-            scenario_name=self.scenario.name, realizations=realizations, seed=seed
+            self.scenario.name,
+            seed=seed,
+            asset_names=self._names,
+            depths=depths,
+            params=params,
         )
 
     def cache_key(self, count: int, seed: int) -> str:

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from repro.errors import HazardError
 from repro.geo.catalog import AssetCatalog
 from repro.geo.coords import GeoPoint, destination_latlon, destination_point
 from repro.geo.region import CoastalRegion
+from repro.hazards.columnar import ArrayBackedEnsemble
 from repro.hazards.fragility import FragilityModel, ThresholdFragility
 from repro.hazards.hurricane.inundation import ExtensionParams, InundationField, InundationMapper
 from repro.hazards.hurricane.mesh import build_coastal_mesh
@@ -185,215 +186,31 @@ def params_from_row(row) -> StormParameters:
     )
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` (the caller's array stays writable)."""
-    array = np.asarray(values, dtype=dtype).view()
-    array.flags.writeable = False
-    return array
+class HurricaneEnsemble(ArrayBackedEnsemble):
+    """An ordered hurricane ensemble: the (R, A) inundation-depth matrix
+    plus each row's (R, 7) :data:`PARAM_COLUMNS` storm parameters.
 
-
-class HurricaneEnsemble:
-    """An ordered hurricane ensemble, stored as columns.
-
-    The ensemble is its (R, A) depth matrix, the asset order of the
-    matrix's columns, the (R, 7) storm-parameter matrix
-    (:data:`PARAM_COLUMNS`) and each row's realization index.  Every
-    query and every hand-over (analysis, cache, shared memory) reads the
-    matrices.  ``ens[i]``, iteration and :attr:`realizations` build
-    :class:`HurricaneRealization` objects from the rows on first use and
-    keep them.
-
-    Built from ``realizations``, the ensemble converts them to columns
-    once and keeps the given objects as its realizations; otherwise
-    ``asset_names``, ``depths`` and ``params`` give the columns
-    (``indices`` defaults to the row positions).  The matrices are
-    read-only.
+    Rows are :class:`HurricaneRealization` objects, built on first use
+    (see :class:`~repro.hazards.columnar.ArrayBackedEnsemble`).
     """
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(
-        self,
-        scenario_name: str,
-        realizations: Sequence[HurricaneRealization] | None = None,
-        seed: int | None = None,
-        *,
-        asset_names: Sequence[str] | None = None,
-        depths: np.ndarray | None = None,
-        params: np.ndarray | None = None,
-        indices: Sequence[int] | None = None,
-    ) -> None:
-        cache: list[HurricaneRealization | None] | None = None
-        if realizations is not None:
-            if not (asset_names is None and depths is None and params is None
-                    and indices is None):
-                raise HazardError("build an ensemble from realizations or columns, not both")
-            cache = list(realizations)
-            if not cache:
-                raise HazardError("ensemble must contain at least one realization")
-            asset_names = list(cache[0].inundation.depths_m)
-            try:
-                depths = [[r.inundation.depths_m[n] for n in asset_names] for r in cache]
-            except KeyError as exc:
-                raise HazardError(
-                    f"realizations disagree on their assets: {exc.args[0]!r}"
-                ) from None
-            params = [params_to_row(r.params) for r in cache]
-            indices = [r.index for r in cache]
-        elif asset_names is None or depths is None or params is None:
-            raise HazardError("a columnar ensemble needs asset_names, depths and params")
-        self.scenario_name = scenario_name
-        self.seed = seed
-        self._asset_names = tuple(asset_names)
-        self._depths = _read_only(depths, float)
-        self._params = _read_only(params, float)
-        rows = len(self._depths)
-        self._indices = _read_only(
-            np.arange(rows) if indices is None else indices, np.int64
-        )
-        if rows == 0:
-            raise HazardError("ensemble must contain at least one realization")
-        if self._depths.shape != (rows, len(self._asset_names)):
-            raise HazardError(
-                f"{self._depths.shape} depth matrix for {len(self._asset_names)} assets"
-            )
-        if self._params.shape != (rows, len(PARAM_COLUMNS)) or self._indices.shape != (rows,):
-            raise HazardError(f"parameter rows or indices do not match {rows} depth rows")
-        self._columns = {name: i for i, name in enumerate(self._asset_names)}
-        self._cache = cache
-
-    def __getstate__(self) -> dict:
-        # Pickle the columns only; realizations rebuild on demand.
-        return {**self.__dict__, "_cache": None}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for array in (self._depths, self._params, self._indices):
-            array.flags.writeable = False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HurricaneEnsemble):
-            return NotImplemented
-        return (
-            self.scenario_name == other.scenario_name
-            and self.seed == other.seed
-            and self._asset_names == other._asset_names
-            and np.array_equal(self._indices, other._indices)
-            and np.array_equal(self._depths, other._depths)
-            and np.array_equal(self._params, other._params)
-        )
-
-    def __len__(self) -> int:
-        return len(self._depths)
-
-    def _realization(self, row: int) -> HurricaneRealization:
-        if self._cache is None:
-            self._cache = [None] * len(self)
-        realization = self._cache[row]
-        if realization is None:
-            realization = self._cache[row] = HurricaneRealization(
-                index=int(self._indices[row]),
-                params=params_from_row(self._params[row].tolist()),
-                inundation=InundationField(
-                    depths_m=dict(zip(self._asset_names, self._depths[row].tolist()))
-                ),
-            )
-        return realization
-
-    @property
-    def realizations(self) -> tuple[HurricaneRealization, ...]:
-        """Every row as a :class:`HurricaneRealization` (built once, kept)."""
-        return tuple(self._realization(row) for row in range(len(self)))
-
-    def __iter__(self) -> Iterator[HurricaneRealization]:
-        return iter(self.realizations)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.realizations[index]
-        return self._realization(range(len(self))[index])
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self._asset_names)
-
-    def _column(self, asset_name: str) -> np.ndarray:
-        try:
-            return self._depths[:, self._columns[asset_name]]
-        except KeyError:
-            raise HazardError(f"no inundation data for asset {asset_name!r}") from None
+    param_columns = PARAM_COLUMNS
 
     @staticmethod
-    def _failure_mask(model: FragilityModel, depths: np.ndarray) -> np.ndarray:
-        """Boolean mask of certain failures (failure probability >= 1)."""
-        if isinstance(model, ThresholdFragility):
-            return depths > model.threshold_m
-        flat = depths.reshape(-1)
-        probs = np.fromiter(
-            (model.failure_probability(float(d)) for d in flat), float, len(flat)
+    def _from_row(
+        index: int, depths_m: dict[str, float], params: list[float]
+    ) -> HurricaneRealization:
+        return HurricaneRealization(
+            index=index,
+            params=params_from_row(params),
+            inundation=InundationField(depths_m=depths_m),
         )
-        return (probs >= 1.0).reshape(depths.shape)
 
-    def depth_matrix(self) -> np.ndarray:
-        """(n_realizations, n_assets) inundation depths (a writable copy)."""
-        return self._depths.copy()
-
-    def depth_view(self) -> np.ndarray:
-        """The read-only (n_realizations, n_assets) depth matrix itself."""
-        return self._depths
-
-    def parameter_view(self) -> np.ndarray:
-        """The read-only (n_realizations, 7) :data:`PARAM_COLUMNS` matrix."""
-        return self._params
-
-    def flood_probability(
-        self, asset_name: str, fragility: FragilityModel | None = None
-    ) -> float:
-        """Fraction of realizations in which the asset fails."""
-        model = fragility or ThresholdFragility()
-        hits = int(np.count_nonzero(self._failure_mask(model, self._column(asset_name))))
-        return hits / len(self)
-
-    def joint_flood_probability(
-        self, names: Sequence[str], fragility: FragilityModel | None = None
-    ) -> float:
-        """Fraction of realizations flooding *all* the named assets."""
-        model = fragility or ThresholdFragility()
-        try:
-            cols = [self._columns[n] for n in names]
-        except KeyError as exc:
-            raise HazardError(f"no inundation data for asset {exc.args[0]!r}") from None
-        mask = self._failure_mask(model, self._depths[:, cols]).all(axis=1)
-        return int(np.count_nonzero(mask)) / len(self)
-
-    def conditional_flood_probability(
-        self,
-        target: str,
-        given: str,
-        fragility: FragilityModel | None = None,
-    ) -> float:
-        """P(target floods | given floods); NaN if the condition never occurs."""
-        model = fragility or ThresholdFragility()
-        given_mask = self._failure_mask(model, self._column(given))
-        given_hits = int(np.count_nonzero(given_mask))
-        if given_hits == 0:
-            return math.nan
-        target_mask = self._failure_mask(model, self._column(target))
-        both = int(np.count_nonzero(given_mask & target_mask))
-        return both / given_hits
-
-    def subset(self, count: int) -> "HurricaneEnsemble":
-        """The first ``count`` realizations (for convergence studies)."""
-        if not 1 <= count <= len(self):
-            raise HazardError(f"subset size {count} outside [1, {len(self)}]")
-        return HurricaneEnsemble(
-            self.scenario_name,
-            seed=self.seed,
-            asset_names=self._asset_names,
-            depths=self._depths[:count],
-            params=self._params[:count],
-            indices=self._indices[:count],
-        )
+    @staticmethod
+    def _to_row(
+        realization: HurricaneRealization,
+    ) -> tuple[dict[str, float], list[float]]:
+        return realization.inundation.depths_m, params_to_row(realization.params)
 
 
 @dataclass

@@ -16,10 +16,10 @@ reference:
   mmap descriptor for the uncompressed depth sidecar -- no segment to
   manage at all; the OS page cache shares the bytes.
 - :func:`attach_shared_ensemble` turns either descriptor back into an
-  :class:`ArrayBackedEnsemble`, a full ``HazardEnsemble`` whose depth
-  grid *is* the shared buffer (the batched executor reads it in place)
-  and whose per-realization views materialize lazily only if a scalar
-  fallback ever iterates them.
+  :class:`~repro.hazards.columnar.ArrayBackedEnsemble`, the columnar
+  ensemble every hazard family shares, whose depth grid *is* the shared
+  buffer (the batched executor reads it in place) and whose row objects
+  are built only if a scalar fallback ever iterates them.
 
 Lifecycle: the publishing (parent) process owns the segment and must
 ``close()`` + ``unlink()`` it -- the sweep engine does so in a
@@ -35,12 +35,12 @@ under its siblings.
 from __future__ import annotations
 
 import atexit
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.hazards.fragility import FragilityModel, ThresholdFragility
+from repro.hazards.columnar import ArrayBackedEnsemble, DepthRealization, depth_grid
 
 __all__ = [
     "ArrayBackedEnsemble",
@@ -48,115 +48,7 @@ __all__ = [
     "SharedEnsembleHandle",
     "publish_shared_ensemble",
     "attach_shared_ensemble",
-    "shareable_ensemble",
 ]
-
-
-def shareable_ensemble(ensemble: object) -> bool:
-    """Whether an ensemble can ship to workers by depth-grid reference.
-
-    A cheap capability probe -- the ensemble exposes ``asset_names`` and
-    a depth grid -- replacing the old full ``pickle.dumps`` probe of the
-    ensemble (serializing 100k realizations just to throw the bytes
-    away cost more than some analyses).
-    """
-    names = getattr(ensemble, "asset_names", None)
-    if not names:
-        return False
-    return callable(getattr(ensemble, "depth_view", None)) or callable(
-        getattr(ensemble, "depth_matrix", None)
-    )
-
-
-def _depth_grid(ensemble: object) -> np.ndarray:
-    view = getattr(ensemble, "depth_view", None)
-    if callable(view):
-        return np.asarray(view())
-    return np.asarray(ensemble.depth_matrix())  # type: ignore[attr-defined]
-
-
-class DepthRealization:
-    """One realization view over a shared depth matrix row.
-
-    Satisfies :class:`~repro.hazards.base.HazardRealization`: the scalar
-    executor's fallback path iterates these exactly as it would the
-    original realizations (same float64 depths, so same failed sets).
-    """
-
-    __slots__ = ("index", "depths_m")
-
-    def __init__(self, index: int, depths_m: Mapping[str, float]) -> None:
-        self.index = index
-        self.depths_m = depths_m
-
-    def depth_at(self, asset_name: str) -> float:
-        return self.depths_m[asset_name]
-
-    def failed_assets(
-        self,
-        fragility: FragilityModel | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> frozenset[str]:
-        model = fragility or ThresholdFragility()
-        return model.failed_assets(self.depths_m, rng)
-
-
-class ArrayBackedEnsemble:
-    """A hazard ensemble whose realizations live in one depth matrix.
-
-    The batched executor reads ``depth_view()`` in place (zero copies);
-    the per-realization tuple is materialized lazily, only when a
-    scalar path actually iterates the ensemble.  ``_owner`` pins the
-    shared-memory handle (if any) for the buffer's lifetime.
-    """
-
-    def __init__(
-        self,
-        scenario_name: str,
-        depths: np.ndarray,
-        asset_names: list[str],
-        seed: int | None = None,
-        owner: object | None = None,
-    ) -> None:
-        if depths.ndim != 2 or depths.shape[1] != len(asset_names):
-            raise SerializationError(
-                "depth matrix shape does not match the asset names"
-            )
-        self.scenario_name = scenario_name
-        self.seed = seed
-        self._depths = depths
-        self._asset_names = list(asset_names)
-        self._owner = owner
-        self._realizations: tuple[DepthRealization, ...] | None = None
-
-    @property
-    def asset_names(self) -> list[str]:
-        return list(self._asset_names)
-
-    def depth_view(self) -> np.ndarray:
-        """The backing (R x A) depth matrix; treat as read-only."""
-        return self._depths
-
-    def depth_matrix(self) -> np.ndarray:
-        return np.array(self._depths)
-
-    def __len__(self) -> int:
-        return int(self._depths.shape[0])
-
-    def _materialize(self) -> tuple[DepthRealization, ...]:
-        if self._realizations is None:
-            names = self._asset_names
-            self._realizations = tuple(
-                DepthRealization(index=i, depths_m=dict(zip(names, row.tolist())))
-                for i, row in enumerate(self._depths)
-            )
-        return self._realizations
-
-    def __iter__(self) -> Iterator[DepthRealization]:
-        return iter(self._materialize())
-
-    def __getitem__(self, index: int) -> DepthRealization:
-        return self._materialize()[index]
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +107,10 @@ def publish_shared_ensemble(ensemble: object) -> SharedEnsembleHandle | None:
     """
     from multiprocessing import shared_memory
 
-    if not shareable_ensemble(ensemble):
+    grid = depth_grid(ensemble)
+    if grid is None:
         return None
-    depths = _depth_grid(ensemble)
+    names, depths = grid
     source = np.ascontiguousarray(depths)
     shm = shared_memory.SharedMemory(create=True, size=max(1, source.nbytes))
     try:
@@ -230,7 +123,7 @@ def publish_shared_ensemble(ensemble: object) -> SharedEnsembleHandle | None:
             "dtype": str(source.dtype),
             "scenario_name": getattr(ensemble, "scenario_name", "shared"),
             "seed": getattr(ensemble, "seed", None),
-            "asset_names": list(ensemble.asset_names),  # type: ignore[attr-defined]
+            "asset_names": names,
         }
     except Exception:
         shm.close()
@@ -280,6 +173,10 @@ def attach_shared_ensemble(descriptor: Mapping) -> ArrayBackedEnsemble:
     kind = descriptor.get("kind")
     shape = tuple(int(n) for n in descriptor["shape"])
     names = list(descriptor["asset_names"])
+    if len(shape) != 2 or shape[1] != len(names):
+        raise SerializationError(
+            f"shared ensemble shape {shape} does not match its {len(names)} asset names"
+        )
     if kind == "mmap":
         depths = np.load(descriptor["path"], mmap_mode="r")
         owner: object | None = None

@@ -251,12 +251,7 @@ def _failure_matrix(
             "(stochastic failures have no single damage pattern per "
             "realization)"
         )
-    depths = ensemble.depth_view()
-    flat = depths.reshape(-1)
-    probs = np.fromiter(
-        (model.failure_probability(float(d)) for d in flat), float, len(flat)
-    )
-    return (probs >= 1.0).reshape(depths.shape)
+    return model.probability_matrix(ensemble.depth_view()) >= 1.0
 
 
 def compute_impacts(

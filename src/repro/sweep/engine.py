@@ -40,14 +40,11 @@ from repro.core.outcomes import ScenarioMatrix
 from repro.core.pipeline import CompoundThreatAnalysis
 from repro.errors import ConfigurationError, SerializationError
 from repro.hazards.base import HazardEnsemble
+from repro.hazards.columnar import depth_grid
 from repro.hazards.hurricane.standard import shared_standard_generator
 from repro.io.atomic import atomic_write_text, quarantine_file
 from repro.io.results_io import matrix_from_dict, matrix_to_dict
-from repro.io.shared_ensemble import (
-    attach_shared_ensemble,
-    publish_shared_ensemble,
-    shareable_ensemble,
-)
+from repro.io.shared_ensemble import attach_shared_ensemble, publish_shared_ensemble
 from repro.obs.manifest import write_json_artifact
 from repro.obs.observer import (
     NULL_OBSERVER,
@@ -384,7 +381,7 @@ def _iter_group_results(
         ]
         if not _picklable(*(task.payload for task in stripped)):
             obs.event("sweep.parallel_fallback", reason="unpicklable study inputs")
-        elif share_ref is not None or shareable_ensemble(ensemble):
+        elif share_ref is not None or depth_grid(ensemble) is not None:
             handle = None
             descriptor = share_ref
             if descriptor is None:

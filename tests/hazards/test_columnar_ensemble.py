@@ -10,7 +10,6 @@ an ensemble built from the per-realization reference objects does.
 from __future__ import annotations
 
 import hashlib
-import pickle
 
 import numpy as np
 import pytest
@@ -112,26 +111,6 @@ def test_subset(generated, built, reference):
         generated.subset(COUNT + 1)
 
 
-def test_matrices_are_read_only(generated):
-    with pytest.raises(ValueError):
-        generated.depth_view()[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        generated.parameter_view()[0, 0] = 1.0
-    copy = generated.depth_matrix()
-    copy[0, 0] = -1.0  # a private copy
-    assert generated.depth_view()[0, 0] != -1.0
-
-
-def test_pickling_carries_the_columns_only(generated, reference):
-    before = pickle.dumps(generated)
-    list(generated)  # materialize every realization
-    assert len(pickle.dumps(generated)) == len(before)
-    restored = pickle.loads(before)
-    assert restored == generated
-    assert list(restored) == reference
-    assert not restored.depth_view().flags.writeable
-
-
 def test_cache_round_trip(generator, generated, reference, tmp_path):
     key = generator.cache_key(COUNT, SEED)
     save_ensemble_cache(generated, tmp_path, key)
@@ -165,28 +144,6 @@ def test_checkpoint_round_trip(generator, generated, tmp_path):
 
 
 class TestConstruction:
-    def test_realizations_or_columns_not_both(self, generated, reference):
-        with pytest.raises(HazardError):
-            HurricaneEnsemble(
-                "x", reference, depths=generated.depth_view(),
-                asset_names=generated.asset_names,
-                params=generated.parameter_view(),
-            )
-
-    def test_columns_must_be_complete_and_agree(self, generated):
-        depths, params = generated.depth_view(), generated.parameter_view()
-        names = generated.asset_names
-        with pytest.raises(HazardError):
-            HurricaneEnsemble("x", asset_names=names, depths=depths)
-        with pytest.raises(HazardError):
-            HurricaneEnsemble("x", asset_names=names[1:], depths=depths, params=params)
-        with pytest.raises(HazardError):
-            HurricaneEnsemble("x", asset_names=names, depths=depths, params=params[1:])
-        with pytest.raises(HazardError):
-            HurricaneEnsemble(
-                "x", asset_names=names, depths=depths[:0], params=params[:0]
-            )
-
     def test_caller_arrays_stay_writable(self, generated):
         depths = generated.depth_matrix()
         ensemble = HurricaneEnsemble(

@@ -152,16 +152,6 @@ class TestEnsembleQueries:
         assert len(sub) == 2
         assert sub[0].index == 0
 
-    def test_subset_bounds(self):
-        with pytest.raises(HazardError):
-            self.small().subset(0)
-        with pytest.raises(HazardError):
-            self.small().subset(5)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(HazardError):
-            HurricaneEnsemble("t", ())
-
     def test_iteration_and_indexing(self):
         ens = self.small()
         assert [r.index for r in ens] == [0, 1, 2, 3]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SerializationError
+from repro.hazards.columnar import depth_grid
 from repro.hazards.fragility import ThresholdFragility
 from repro.io.ensemble_cache import (
     save_ensemble_cache,
@@ -16,7 +17,6 @@ from repro.io.shared_ensemble import (
     ArrayBackedEnsemble,
     attach_shared_ensemble,
     publish_shared_ensemble,
-    shareable_ensemble,
 )
 
 
@@ -32,40 +32,16 @@ def _array_ensemble(n=8, n_assets=3, seed=11):
 
 
 # ----------------------------------------------------------------------
-# ArrayBackedEnsemble as a HazardEnsemble
+# The depth-grid probe (row/matrix agreement is in the family contract,
+# tests/hazards/test_hazard_families.py)
 # ----------------------------------------------------------------------
-def test_array_ensemble_realizations_match_matrix():
+def test_depth_grid_probe():
     ensemble = _array_ensemble()
-    depths = ensemble.depth_view()
-    assert len(ensemble) == depths.shape[0]
-    for i, realization in enumerate(ensemble):
-        assert realization.index == i
-        row = [realization.depths_m[n] for n in ensemble.asset_names]
-        assert row == depths[i].tolist()
-    # failed_assets agrees with a direct threshold on the matrix.
-    model = ThresholdFragility(threshold_m=0.5)
-    for i, realization in enumerate(ensemble):
-        expected = {
-            name
-            for j, name in enumerate(ensemble.asset_names)
-            if depths[i, j] > 0.5
-        }
-        assert realization.failed_assets(model) == frozenset(expected)
-
-
-def test_array_ensemble_shape_mismatch_rejected():
-    with pytest.raises(SerializationError, match="shape"):
-        ArrayBackedEnsemble(
-            scenario_name="bad",
-            depths=np.zeros((4, 3)),
-            asset_names=["a", "b"],
-        )
-
-
-def test_shareable_probe():
-    assert shareable_ensemble(_array_ensemble())
-    assert not shareable_ensemble(object())
-    assert not shareable_ensemble([1, 2, 3])
+    names, depths = depth_grid(ensemble)
+    assert names == ensemble.asset_names
+    assert depths is ensemble.depth_view()
+    assert depth_grid(object()) is None
+    assert depth_grid([1, 2, 3]) is None
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +76,14 @@ def test_unlink_is_idempotent_and_destroys_the_segment():
 
 def test_publish_returns_none_for_unshareable():
     assert publish_shared_ensemble(object()) is None
+
+
+def test_attach_rejects_names_that_do_not_match_the_shape():
+    with pytest.raises(SerializationError, match="asset names"):
+        attach_shared_ensemble(
+            {"kind": "mmap", "path": "unused.npy", "shape": [4, 3],
+             "asset_names": ["a", "b"]}
+        )
 
 
 def test_attach_rejects_unknown_kind():

@@ -162,6 +162,34 @@ def test_duplicate_studies_rejected():
         run_sweep([config, config.replace()])
 
 
+def test_relabelled_prebuilt_ensembles_are_distinct_studies(small_ensemble):
+    """Same depth bytes, different asset order: different hazard data."""
+    from repro.geo import HONOLULU_CC, KAHE_CC
+    from repro.io.shared_ensemble import ArrayBackedEnsemble
+
+    names = small_ensemble.asset_names
+    relabelled = list(names)
+    i, j = names.index(HONOLULU_CC), names.index(KAHE_CC)
+    relabelled[i], relabelled[j] = relabelled[j], relabelled[i]
+    ca, cb = (
+        StudyConfig(
+            ensemble=ArrayBackedEnsemble(
+                small_ensemble.scenario_name,
+                seed=small_ensemble.seed,
+                asset_names=labels,
+                depths=small_ensemble.depth_view(),
+            )
+        )
+        for labels in (names, relabelled)
+    )
+    assert ca.cache_key() != cb.cache_key()
+    result = run_sweep([ca, cb])
+    a, b = (matrix_to_dict(cell.matrix) for cell in result.cells)
+    assert a == matrix_to_dict(run_study(ca).matrix)
+    assert b == matrix_to_dict(run_study(cb).matrix)
+    assert a != b
+
+
 def test_empty_grid_and_bad_jobs_rejected():
     with pytest.raises(ConfigurationError, match="at least one"):
         run_sweep([])
