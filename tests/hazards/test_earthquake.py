@@ -99,7 +99,7 @@ class TestGenerator:
             generator.generate(count=0)
 
     def test_shaking_decays_from_epicenter(self, generator):
-        r = generator.realize(0, np.random.default_rng(7))
+        r = generator.generate(1, seed=7)[0]
         catalog = build_oahu_catalog()
         # Rock-site pair with very different epicentral distances: the
         # nearer one shakes harder (soil amplification held equal).
@@ -113,13 +113,13 @@ class TestGenerator:
             assert r.pga_at(far) >= r.pga_at(near)
 
     def test_soft_soil_amplifies(self, generator, oahu_catalog):
-        r = generator.realize(0, np.random.default_rng(9))
+        r = generator.generate(1, seed=9)[0]
         # Waiau (elev 2.6, soft) vs Halawa (elev 8, rock) are ~3 km apart:
         # the soil factor dominates the small distance difference.
         assert r.pga_at(WAIAU_CC) > r.pga_at("Halawa Substation")
 
     def test_unknown_asset_rejected(self, generator):
-        r = generator.realize(0, np.random.default_rng(0))
+        r = generator.generate(1, seed=0)[0]
         with pytest.raises(HazardError):
             r.pga_at("Atlantis Substation")
 
